@@ -28,6 +28,8 @@ import numpy as np
 from .streams import stream
 
 DEFAULT_C = 100.0
+SVM_EPOCHS = 200
+SVM_TOL = 1e-6
 C_GRID = (1e-3, 1e-2, 1e-1, 1.0, 1e1, 1e2, 1e3)
 
 
@@ -36,8 +38,9 @@ class LinearModel:
     w: np.ndarray
     b: float
     c: float
-    epochs_run: int
-    objective: float
+    # a model read back from disk keeps no training record
+    epochs_run: int = 0
+    objective: float = float("nan")
     objective_trace: np.ndarray = field(default_factory=lambda: np.empty(0))
 
 
@@ -146,8 +149,8 @@ def svm_train(
     x: np.ndarray,
     labels,
     c: float = DEFAULT_C,
-    epochs: int = 200,
-    tol: float = 1e-6,
+    epochs: int = SVM_EPOCHS,
+    tol: float = SVM_TOL,
     seed=0,
 ) -> OneVsAllClassifier:
     """Train one binary hinge model per class (one-vs-all)."""
@@ -251,8 +254,6 @@ def svm_train_cv(
     labels,
     c_grid=C_GRID,
     folds: int = 5,
-    epochs: int = 200,
-    tol: float = 1e-6,
     seed=0,
 ) -> tuple[OneVsAllClassifier, float]:
     """Pick C by stratified cross-validated mean accuracy, then refit.
@@ -278,14 +279,14 @@ def svm_train_cv(
             train, val = fold_of != fold, fold_of == fold
             if np.unique(labels[train]).size < 2 or not val.any():
                 continue
-            clf = svm_train(x[train], labels[train], c, epochs, tol, seed=(*base, fold))
+            clf = svm_train(x[train], labels[train], c, seed=(*base, fold))
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 fold_scores.append(evaluate(clf, x[val], labels[val]).macc)
         score = float(np.mean(fold_scores)) if fold_scores else 0.0
         if score > best_score:
             best_c, best_score = c, score
-    clf = svm_train(x, labels, best_c, epochs, tol, seed=seed)
+    clf = svm_train(x, labels, best_c, seed=seed)
     return clf, best_c
 
 
@@ -301,15 +302,19 @@ def save_classifier(clf: OneVsAllClassifier, path) -> None:
 
 
 def load_classifier(path) -> OneVsAllClassifier:
-    doc = json.loads(Path(path).read_text())
-    models = [
-        LinearModel(
-            w=np.asarray(m["w"]),
-            b=m["b"],
-            c=m["c"],
-            epochs_run=0,
-            objective=float("nan"),
-        )
-        for m in doc["models"]
-    ]
-    return OneVsAllClassifier(classes=np.asarray(doc["classes"]), models=models)
+    try:
+        doc = json.loads(Path(path).read_text())
+        classes = doc["classes"]
+        models = [
+            LinearModel(w=np.asarray(m["w"], dtype=float), b=float(m["b"]), c=float(m["c"]))
+            for m in doc["models"]
+        ]
+    except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
+        raise ValueError(f"{path} is not a classifier: {exc!r}") from None
+    if not isinstance(classes, list) or not all(type(cls) is int for cls in classes):
+        raise ValueError(f"{path}: classes must be a list of integer labels")
+    if not models or len(models) != len(classes):
+        raise ValueError(f"{path}: {len(classes)} classes but {len(models)} models")
+    if any(m.w.ndim != 1 or m.w.shape != models[0].w.shape for m in models):
+        raise ValueError(f"{path}: model weights must be vectors of one length")
+    return OneVsAllClassifier(classes=np.asarray(classes), models=models)

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, container
 from .classify import (
     EvalReport,
     evaluate,
@@ -39,20 +39,12 @@ from .conditioning import (
     theorem1_bounds,
     theorem2_bounds,
 )
-from .config import (
-    ExperimentConfig,
-    codec_config_of,
-    config_hash,
-    dataset_config_of,
-    load_config,
-    recognition_config_of,
-    schedule_of,
-)
+from .config import ExperimentConfig, config_hash, load_config, schedule_of
 from .dataset import generate_dataset, load_dataset, save_dataset
-from .encoder import ConvergenceError, encode_dataset, fit_codec, load_codec, save_codec
+from .encoder import ConvergenceError, encode_dataset, fit_codec, save_codec
 from .features import SkipSchedule, level_cost_report, mifs_stack
 from .latent import new_model, save_model
-from .pipeline import extract_all, grid_schedules, run_schedule
+from .pipeline import extract_all, recognition_grid
 from .streams import stream
 from .svg import Series, bar_chart, line_chart
 
@@ -249,25 +241,15 @@ def cmd_spectrum(config: ExperimentConfig, out: Path, args) -> list[Path]:
 
 def cmd_dataset_gen(config: ExperimentConfig, out: Path, args) -> list[Path]:
     path = out / "dataset.bin"
-    save_dataset(path, generate_dataset(dataset_config_of(config)))
+    save_dataset(path, generate_dataset(config))
     return [path]
-
-
-def _dataset_schedule(config: ExperimentConfig, frames: int) -> SkipSchedule:
-    include = tuple(l not in config.exclude for l in range(config.levels + 1))
-    return SkipSchedule.from_frames(frames, config.levels, include)
 
 
 def cmd_encode(config: ExperimentConfig, out: Path, args) -> list[Path]:
     data_path = Path(args.data) if args.data else out / "dataset.bin"
     ds = load_dataset(data_path)
-    schedule = _dataset_schedule(config, ds.frames)
-    descriptors = extract_all(ds, schedule, config.window)
-    codec = fit_codec(
-        [descriptors[i] for i in ds.train_idx],
-        codec_config_of(config),
-        rng=stream(config.seed, 2),
-    )
+    descriptors = extract_all(ds, schedule_of(config, ds.frames), config.window)
+    codec = fit_codec([descriptors[i] for i in ds.train_idx], config, rng=stream(config.seed, 2))
     encodings, zero_flags = encode_dataset(codec, descriptors)
     codec_path = out / "codec.json"
     save_codec(codec, codec_path)
@@ -279,42 +261,23 @@ def cmd_encode(config: ExperimentConfig, out: Path, args) -> list[Path]:
         "zero_flags": [int(flag) for flag in zero_flags],
     }
     enc_path = out / "encodings.bin"
-    with open(enc_path, "wb") as fh:
-        fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")).encode())
-        fh.write(b"\n")
-        fh.write(np.ascontiguousarray(encodings, dtype="<f4").tobytes())
+    container.write(enc_path, header, encodings)
     return [codec_path, enc_path]
 
 
 def _read_encodings(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode())
-        raw = fh.read()
-    labels = np.asarray(header["labels"], dtype=int)
-    cols = int(header["cols"])
-    expected = labels.size * cols * 4
-    if len(raw) != expected:
-        raise ValueError(f"encodings payload is {len(raw)} bytes, expected {expected}")
-    matrix = np.frombuffer(raw, dtype="<f4").reshape(labels.size, cols).astype(float)
-    train_idx = np.asarray(header["train_idx"], dtype=int)
-    test_idx = np.asarray(header["test_idx"], dtype=int)
-    return matrix, labels, train_idx, test_idx
+    header, matrix = container.read(path, container.ENCODINGS, ("cols",))
+    return matrix.astype(float), header["labels"], header["train_idx"], header["test_idx"]
 
 
 def cmd_train(config: ExperimentConfig, out: Path, args) -> list[Path]:
     enc_path = Path(args.encodings) if args.encodings else out / "encodings.bin"
     matrix, labels, train_idx, _ = _read_encodings(enc_path)
+    x, y, seed = matrix[train_idx], labels[train_idx], (config.seed, 3)
     if config.cv_folds > 0:
-        classifier, _ = svm_train_cv(
-            matrix[train_idx],
-            labels[train_idx],
-            folds=config.cv_folds,
-            seed=(config.seed, 3),
-        )
+        classifier, _ = svm_train_cv(x, y, folds=config.cv_folds, seed=seed)
     else:
-        classifier = svm_train(
-            matrix[train_idx], labels[train_idx], c=config.svm_c, seed=(config.seed, 3)
-        )
+        classifier = svm_train(x, y, c=config.svm_c, seed=seed)
     path = out / "classifier.json"
     save_classifier(classifier, path)
     return [path]
@@ -330,32 +293,15 @@ def cmd_evaluate(config: ExperimentConfig, out: Path, args) -> list[Path]:
 
 
 def cmd_run_recognition(config: ExperimentConfig, out: Path, args) -> list[Path]:
-    ds = generate_dataset(dataset_config_of(config))
-    schedules = grid_schedules(ds.frames, config.levels)
-    if config.exclude:
-        masked = _dataset_schedule(config, ds.frames)
-        if masked.label not in {schedule.label for schedule in schedules}:
-            schedules.append(masked)
-    rec_config = recognition_config_of(config)
-    outputs = []
-    results = {}
+    ds = generate_dataset(config)
+    # the executor is built here, where instrumentation can swap cli.ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=args.threads) as pool:
-        futures = [
-            pool.submit(run_schedule, ds, schedule, rec_config, config.seed, salt)
-            for salt, schedule in enumerate(schedules)
-        ]
-        # flush each configuration's report without waiting for the grid
-        for future in futures:
-            run = future.result()
-            record = _report_record(run.report)
-            record["cost"] = run.cost_total
-            record["label"] = run.label
-            outputs.append(_write_json(out / f"report-{run.label}.json", record))
-            results[run.label] = run
-    rows = [
-        (label, results[label].report.macc, results[label].report.mean_ap, results[label].cost_total)
-        for label in (schedule.label for schedule in schedules)
-    ]
+        runs = recognition_grid(ds, config, pool.map)
+    outputs = []
+    for run in runs.values():
+        record = {**_report_record(run.report), "cost": run.cost_total, "label": run.label}
+        outputs.append(_write_json(out / f"report-{run.label}.json", record))
+    rows = [(run.label, run.report.macc, run.report.mean_ap, run.cost_total) for run in runs.values()]
     outputs.append(_write_table(out, "grid", PLOT_HEADERS["accuracy-grid"], rows, args.fmt))
     return outputs
 
@@ -445,26 +391,36 @@ COMMANDS = {
 }
 
 
+def _worker_count(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config file")
     common.add_argument("--seed", type=int, help="override the config seed")
     common.add_argument("--out", help="override the output directory")
-    common.add_argument(
-        "--threads",
-        type=int,
-        default=int(os.environ.get("SKIPSTACK_THREADS", "1")),
-        help="worker pool size (default: SKIPSTACK_THREADS or 1)",
-    )
-    common.add_argument(
-        "--format", choices=("csv", "json"), default="csv", dest="fmt",
-        help="tabular output format where both apply",
-    )
     parser = argparse.ArgumentParser(prog="skipstack", description=__doc__)
     subparsers = parser.add_subparsers(dest="command", required=True, metavar="command")
     for name, (handler, help_text) in COMMANDS.items():
         sub = subparsers.add_parser(name, parents=[common], help=help_text)
         sub.set_defaults(handler=handler)
+        if name == "run-recognition":
+            sub.add_argument(
+                "--threads",
+                type=_worker_count,
+                # a string default goes through _worker_count like the flag
+                default=os.environ.get("SKIPSTACK_THREADS", "1"),
+                help="worker pool size (default: SKIPSTACK_THREADS or 1)",
+            )
+        if name in ("sim-bounds", "run-recognition", "cost-report"):
+            sub.add_argument(
+                "--format", choices=("csv", "json"), default="csv", dest="fmt",
+                help="tabular output format",
+            )
         if name == "encode":
             sub.add_argument("--data", help="dataset file (default: <out>/dataset.bin)")
         if name in ("train", "evaluate"):
@@ -487,15 +443,9 @@ def main(argv=None) -> int:
         out.mkdir(parents=True, exist_ok=True)
         outputs = args.handler(config, out, args)
         _write_manifest(out, args.command, config, outputs)
-    except ConvergenceError as exc:
+    except (ConvergenceError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return 3 if isinstance(exc, ConvergenceError) else 2 if isinstance(exc, ValueError) else 4
     for path in outputs:
         print(f"wrote {path}")
     return 0

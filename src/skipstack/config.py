@@ -1,6 +1,7 @@
 """Experiment configuration: one flat record driving every CLI verb.
 
-A config comes from a JSON file plus flag overrides (flags win); its
+A config comes from a JSON file plus flag overrides (flags win) and is
+validated once, when it is built; every layer reads this one record. Its
 canonical SHA-256 goes into every run manifest so outputs are traceable
 to the exact settings that produced them.
 """
@@ -9,13 +10,21 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
-from .dataset import DatasetConfig
-from .encoder import CodecConfig
 from .features import SkipSchedule
-from .pipeline import RecognitionConfig
+
+ALLOWED_SPEEDS = (1, 2, 3, 4)
+
+
+# JSON value checks per annotation: ints fit 64 bits (a bool is none), numbers are finite
+_IS = {
+    "int": lambda v: type(v) is int and -(2**63) <= v < 2**63,
+    "float": lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max,
+    "str": lambda v: isinstance(v, str),
+}
 
 
 @dataclass(frozen=True)
@@ -34,12 +43,11 @@ class ExperimentConfig:
     frames: int = 96
     levels: int = 3
     exclude: tuple[int, ...] = ()
-    # descriptor/codec parameters
+    # descriptor/codec parameters; pca_components 0 keeps ceil(D/2)
     window: int = 6
     pca_components: int = 0
     gmm_components: int = 8
     train_budget: int = 20000
-    renormalize: bool = True
     # classifier: cv_folds 0 trains at the fixed C, > 0 cross-validates
     svm_c: float = 100.0
     cv_folds: int = 0
@@ -58,61 +66,60 @@ class ExperimentConfig:
     train_fraction: float = 2.0 / 3.0
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type.startswith("tuple["):  # "tuple[int, ...]" checks each item as "int"
+                ok = isinstance(value, (list, tuple)) and all(map(_IS[f.type[6:-6]], value))
+            else:
+                ok = _IS[f.type](value)
+            if not ok:
+                raise ValueError(f"{f.name} must be of type {f.type}, got {value!r}")
         for name in ("gammas", "speeds", "exclude"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
-        if self.base_tau < 0:
-            raise ValueError(f"base_tau must be >= 0, got {self.base_tau}")
-        if self.base_tau == 0 and self.frames < 1:
-            raise ValueError("either base_tau or frames must be positive")
-        if not 0 <= self.levels <= 5:
-            raise ValueError(f"levels must lie in [0, 5], got {self.levels}")
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
-        if self.cv_folds < 0:
-            raise ValueError(f"cv_folds must be >= 0, got {self.cv_folds}")
+        speed = max(self.speeds, default=0)
+        checks = (
+            (self.seed >= 0, f"seed must be >= 0, got {self.seed}"),
+            (self.base_tau >= 0, f"base_tau must be >= 0, got {self.base_tau}"),
+            (0 <= self.levels <= 5, f"levels must lie in [0, 5], got {self.levels}"),
+            (self.window >= 1, f"window must be >= 1, got {self.window}"),
+            (self.pca_components >= 0, f"pca_components must be >= 0, got {self.pca_components}"),
+            (self.gmm_components >= 1, f"gmm_components must be >= 1, got {self.gmm_components}"),
+            (self.train_budget >= 10 * self.gmm_components, "train_budget must be >= 10 * gmm_components"),
+            (self.svm_c > 0, f"svm_c must be > 0, got {self.svm_c}"),
+            (self.cv_folds == 0 or self.cv_folds >= 2, f"cv_folds must be 0 or >= 2, got {self.cv_folds}"),
+            (self.trials >= 1, f"trials must be >= 1, got {self.trials}"),
+            (0.0 < self.delta < 1.0, f"delta must lie in (0, 1), got {self.delta}"),
+            (self.n_classes >= 2, f"need at least 2 classes, got {self.n_classes}"),
+            (
+                self.speeds and set(self.speeds) <= set(ALLOWED_SPEEDS),
+                f"speeds must be a non-empty subset of {ALLOWED_SPEEDS}",
+            ),
+            (len(set(self.speeds)) == len(self.speeds), "speeds must not repeat"),
+            (self.samples_per_cell >= 2, "every class/speed cell needs at least 2 samples"),
+            (self.channels >= 1, f"channels must be >= 1, got {self.channels}"),
+            (self.harmonics >= 1, f"harmonics must be >= 1, got {self.harmonics}"),
+            # the fastest replay must stay below Nyquist, else compression
+            # aliases; this also keeps frames >= 3, so 1/frames is a valid skip
+            (2 * self.harmonics * speed < self.frames, f"{self.harmonics} harmonics at speed {speed} alias"),
+            (0.0 <= self.jitter < 1.0, f"jitter must lie in [0, 1), got {self.jitter}"),
+            (self.noise_sigma >= 0.0, f"noise_sigma must be >= 0, got {self.noise_sigma}"),
+            (0.0 < self.train_fraction < 1.0, f"train_fraction must lie in (0, 1), got {self.train_fraction}"),
+        )
+        for ok, message in checks:
+            if not ok:
+                raise ValueError(message)
 
     @property
     def schedule_base_tau(self) -> float:
         return self.base_tau if self.base_tau > 0 else 1.0 / self.frames
 
 
-def schedule_of(config: ExperimentConfig) -> SkipSchedule:
+def schedule_of(config: ExperimentConfig, frames: int | None = None) -> SkipSchedule:
+    """The config's masked schedule; given ``frames``, the skips are read
+    off that series length (base_tau = 1/frames) instead."""
     include = tuple(l not in config.exclude for l in range(config.levels + 1))
-    return SkipSchedule(
-        base_tau=config.schedule_base_tau, levels=config.levels, include=include
-    )
-
-
-def dataset_config_of(config: ExperimentConfig) -> DatasetConfig:
-    return DatasetConfig(
-        n_classes=config.n_classes,
-        speeds=config.speeds,
-        samples_per_cell=config.samples_per_cell,
-        frames=config.frames,
-        channels=config.channels,
-        harmonics=config.harmonics,
-        jitter=config.jitter,
-        noise_sigma=config.noise_sigma,
-        train_fraction=config.train_fraction,
-        seed=config.seed,
-    )
-
-
-def codec_config_of(config: ExperimentConfig) -> CodecConfig:
-    return CodecConfig(
-        k_components=config.gmm_components,
-        train_budget=config.train_budget,
-        pca_components=config.pca_components,
-        renormalize=config.renormalize,
-    )
-
-
-def recognition_config_of(config: ExperimentConfig) -> RecognitionConfig:
-    return RecognitionConfig(
-        window=config.window, codec=codec_config_of(config), svm_c=config.svm_c
-    )
+    base_tau = 1.0 / frames if frames else config.schedule_base_tau
+    return SkipSchedule(base_tau=base_tau, levels=config.levels, include=include)
 
 
 def load_config(path=None, overrides: dict | None = None) -> ExperimentConfig:
@@ -123,7 +130,7 @@ def load_config(path=None, overrides: dict | None = None) -> ExperimentConfig:
             data = json.loads(Path(path).read_text())
         except OSError as exc:
             raise ValueError(f"cannot read config {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ValueError(f"config {path} is not valid JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise ValueError(f"config {path} must hold a JSON object")
@@ -140,7 +147,12 @@ def load_config(path=None, overrides: dict | None = None) -> ExperimentConfig:
 
 
 def config_hash(config: ExperimentConfig) -> str:
-    """SHA-256 of the canonical JSON form (sorted keys, no whitespace)."""
+    """SHA-256 of the canonical JSON form (sorted keys, no whitespace).
+
+    ``out_dir`` is left out: the hash names the experiment, not where its
+    outputs were written.
+    """
     record = asdict(config)
+    del record["out_dir"]
     canonical = json.dumps(record, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()

@@ -1,76 +1,85 @@
-"""Binary on-disk container for feature matrices and descriptor sets.
+"""Binary on-disk container for the dataset and the encodings.
 
-Layout: one JSON header line (UTF-8, terminated by a newline), then the
-matrix as little-endian 32-bit floats in row-major order. Containers of
-kind "DESC" append a parallel per-row location array in the same float
-format. The header always carries "rows", "cols", "kind" and "levels"
-(one integer tag per column, or per row for "DESC"); writers may add
-extra keys.
+Layout: one JSON header line (sorted keys, no whitespace), then the
+payload as little-endian 32-bit floats in row-major order, one block per
+sample; the header's ``labels`` give the sample count n. ``read`` raises
+ValueError on a non-object header, a missing or mistyped key, a split
+index outside [0, n) or a payload of the wrong length.
 """
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 
-KINDS = ("P", "F", "DESC")
+COUNT, INTS, NUMBERS = "a positive integer", "a list of integers", "a nested list of numbers"
+
+# header keys and their JSON types, per file
+DATASET = {
+    "channels": COUNT,
+    "coeffs": NUMBERS,
+    "frames": COUNT,
+    "labels": INTS,
+    "speeds": INTS,
+    "test_idx": INTS,
+    "train_idx": INTS,
+}
+ENCODINGS = {
+    "cols": COUNT,
+    "labels": INTS,
+    "test_idx": INTS,
+    "train_idx": INTS,
+    "zero_flags": INTS,
+}
 
 
-def write_matrix(
-    path,
-    matrix: np.ndarray,
-    kind: str,
-    levels,
-    extra: dict | None = None,
-    locations: np.ndarray | None = None,
-) -> None:
-    if kind not in KINDS:
-        raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
-    matrix = np.ascontiguousarray(matrix, dtype="<f4")
-    if matrix.ndim != 2:
-        raise ValueError(f"matrix must be 2-D, got shape {matrix.shape}")
-    levels = [int(v) for v in levels]
-    expected = matrix.shape[0] if kind == "DESC" else matrix.shape[1]
-    if len(levels) != expected:
-        raise ValueError(f"need {expected} level tags, got {len(levels)}")
-    if kind == "DESC":
-        if locations is None:
-            raise ValueError("DESC container requires a location array")
-        locations = np.ascontiguousarray(locations, dtype="<f4")
-        if locations.shape != (matrix.shape[0],):
-            raise ValueError("locations must hold one value per descriptor row")
-    elif locations is not None:
-        raise ValueError("locations are only valid for DESC containers")
-
-    header = {
-        "rows": int(matrix.shape[0]),
-        "cols": int(matrix.shape[1]),
-        "kind": kind,
-        "levels": levels,
-    }
-    if extra:
-        header.update(extra)
+def write(path, header: dict, payload: np.ndarray) -> None:
     with open(path, "wb") as fh:
-        fh.write((json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n").encode())
-        fh.write(matrix.tobytes())
-        if kind == "DESC":
-            fh.write(locations.tobytes())
+        fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")).encode())
+        fh.write(b"\n")
+        fh.write(np.ascontiguousarray(payload, dtype="<f4").tobytes())
 
 
-def read_matrix(path) -> tuple[dict, np.ndarray, np.ndarray | None]:
-    """Returns (header, matrix, locations); locations is None unless kind DESC."""
+def _typed(where: str, kind: str, value):
+    """The header value as its format declares it; ValueError otherwise."""
+    try:
+        if kind == COUNT and type(value) is int and value > 0:
+            return value
+        if kind == INTS and isinstance(value, list) and all(type(v) is int for v in value):
+            return np.asarray(value, dtype=np.int64)
+        if kind == NUMBERS and isinstance(value, list):
+            return np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"{where} must be {kind}")
+
+
+def read(path, keys: dict[str, str], row: tuple[str, ...]) -> tuple[dict, np.ndarray]:
+    """Checked header (lists as integer or float arrays) and the payload
+    as an (n, *row) float32 array."""
+    name = Path(path).name
     with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode())
-        rows, cols = header["rows"], header["cols"]
-        body = fh.read(rows * cols * 4)
-        if len(body) != rows * cols * 4:
-            raise ValueError(f"truncated container: {Path(path).name}")
-        matrix = np.frombuffer(body, dtype="<f4").reshape(rows, cols)
-        locations = None
-        if header["kind"] == "DESC":
-            tail = fh.read(rows * 4)
-            if len(tail) != rows * 4:
-                raise ValueError(f"truncated location array: {Path(path).name}")
-            locations = np.frombuffer(tail, dtype="<f4")
-    return header, matrix, locations
+        line = fh.readline()
+        raw = fh.read()
+    try:
+        header = json.loads(line)
+    except (ValueError, RecursionError) as exc:
+        raise ValueError(f"{name}: header is not valid JSON: {exc}") from exc
+    if not isinstance(header, dict):
+        raise ValueError(f"{name}: header must be a JSON object")
+    fields = {}
+    for key, kind in keys.items():
+        if key not in header:
+            raise ValueError(f"{name}: header lacks {key!r}")
+        fields[key] = _typed(f"{name}: header key {key!r}", kind, header[key])
+    n = fields["labels"].size
+    for key in ("train_idx", "test_idx"):
+        if np.any((fields[key] < 0) | (fields[key] >= n)):
+            raise ValueError(f"{name}: {key} must lie in [0, {n})")
+    shape = (n, *(fields[key] for key in row))
+    expected = 4 * math.prod(shape)
+    if len(raw) != expected:
+        raise ValueError(f"{name}: payload is {len(raw)} bytes, expected {expected}")
+    return fields, np.frombuffer(raw, dtype="<f4").reshape(shape)

@@ -10,72 +10,16 @@ frame.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
+from . import container
+from .config import ExperimentConfig
 from .streams import stream
 
-ALLOWED_SPEEDS = (1, 2, 3, 4)
 MAX_TEMPLATE_ATTEMPTS = 500
-
-
-@dataclass(frozen=True)
-class DatasetConfig:
-    """Generation parameters; every sample has ``frames`` x ``channels`` values."""
-
-    n_classes: int = 5
-    speeds: tuple[int, ...] = (1, 2, 3)
-    samples_per_cell: int = 10
-    frames: int = 96
-    channels: int = 3
-    harmonics: int = 3
-    jitter: float = 0.25
-    noise_sigma: float = 0.05
-    train_fraction: float = 2.0 / 3.0
-    max_template_correlation: float = 0.5
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.n_classes < 2:
-            raise ValueError(f"need at least 2 classes, got {self.n_classes}")
-        speeds = tuple(self.speeds)
-        object.__setattr__(self, "speeds", speeds)
-        if not speeds or any(s not in ALLOWED_SPEEDS for s in speeds):
-            raise ValueError(f"speeds must be a non-empty subset of {ALLOWED_SPEEDS}")
-        if len(set(speeds)) != len(speeds):
-            raise ValueError("speeds must not repeat")
-        if self.samples_per_cell < 2:
-            raise ValueError(
-                f"every class/speed cell needs at least 2 samples, got {self.samples_per_cell}"
-            )
-        if self.channels < 1:
-            raise ValueError(f"channels must be >= 1, got {self.channels}")
-        if self.harmonics < 1:
-            raise ValueError(f"harmonics must be >= 1, got {self.harmonics}")
-        # fastest replay must stay below Nyquist, else compression aliases
-        if 2 * self.harmonics * max(speeds) >= self.frames:
-            raise ValueError(
-                f"{self.harmonics} harmonics at speed {max(speeds)} alias over "
-                f"{self.frames} frames"
-            )
-        if not 0.0 <= self.jitter < 1.0:
-            raise ValueError(f"jitter must lie in [0, 1), got {self.jitter}")
-        if self.noise_sigma < 0.0:
-            raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
-        if not 0.0 < self.train_fraction < 1.0:
-            raise ValueError(f"train_fraction must lie in (0, 1), got {self.train_fraction}")
-        if not 0.0 < self.max_template_correlation <= 1.0:
-            raise ValueError(
-                f"max_template_correlation must lie in (0, 1], got "
-                f"{self.max_template_correlation}"
-            )
-
-    @property
-    def n_samples(self) -> int:
-        return self.n_classes * len(self.speeds) * self.samples_per_cell
+MAX_TEMPLATE_CORRELATION = 0.5
 
 
 def render_template(coeffs: np.ndarray, frames: int, speed: int = 1) -> np.ndarray:
@@ -97,7 +41,7 @@ def template_correlation_matrix(coeffs: np.ndarray, frames: int) -> np.ndarray:
     return np.corrcoef(waves)
 
 
-def _draw_templates(config: DatasetConfig, rng: np.random.Generator) -> np.ndarray:
+def _draw_templates(config: ExperimentConfig, rng: np.random.Generator) -> np.ndarray:
     """Rejection-sample class templates until all pairs decorrelate."""
     for _ in range(MAX_TEMPLATE_ATTEMPTS):
         coeffs = rng.standard_normal(
@@ -107,11 +51,11 @@ def _draw_templates(config: DatasetConfig, rng: np.random.Generator) -> np.ndarr
         coeffs /= np.sqrt(power)[:, :, None, None]  # unit-RMS waveform per channel
         corr = template_correlation_matrix(coeffs, config.frames)
         off_diagonal = corr[~np.eye(config.n_classes, dtype=bool)]
-        if np.all(np.abs(off_diagonal) < config.max_template_correlation):
+        if np.all(np.abs(off_diagonal) < MAX_TEMPLATE_CORRELATION):
             return coeffs
     raise ValueError(
         f"no template set with pairwise correlation below "
-        f"{config.max_template_correlation} in {MAX_TEMPLATE_ATTEMPTS} attempts"
+        f"{MAX_TEMPLATE_CORRELATION} in {MAX_TEMPLATE_ATTEMPTS} attempts"
     )
 
 
@@ -152,10 +96,6 @@ class SyntheticActionDataset:
                 raise ValueError(f"{side} split is missing a class/speed cell")
 
     @property
-    def n_classes(self) -> int:
-        return int(np.unique(self.labels).size)
-
-    @property
     def frames(self) -> int:
         return int(self.series.shape[1])
 
@@ -174,7 +114,7 @@ def _split_counts(n_cells: int, cell_size: int, fraction: float) -> np.ndarray:
     return counts
 
 
-def generate_dataset(config: DatasetConfig) -> SyntheticActionDataset:
+def generate_dataset(config: ExperimentConfig) -> SyntheticActionDataset:
     """Deterministic dataset from the config seed.
 
     Samples are laid out class-major, then by speed in config order, then
@@ -182,7 +122,8 @@ def generate_dataset(config: DatasetConfig) -> SyntheticActionDataset:
     """
     coeffs = _draw_templates(config, stream(config.seed, 0))
     spc = config.samples_per_cell
-    n = config.n_samples
+    n_cells = config.n_classes * len(config.speeds)
+    n = n_cells * spc
     series = np.empty((n, config.frames, config.channels))
     labels = np.empty(n, dtype=int)
     speeds = np.empty(n, dtype=int)
@@ -199,7 +140,6 @@ def generate_dataset(config: DatasetConfig) -> SyntheticActionDataset:
             labels[row : row + spc] = cls
             speeds[row : row + spc] = s
             row += spc
-    n_cells = config.n_classes * len(config.speeds)
     counts = _split_counts(n_cells, spc, config.train_fraction)
     starts = np.arange(n_cells) * spc
     train_idx = np.concatenate(
@@ -217,7 +157,7 @@ def generate_dataset(config: DatasetConfig) -> SyntheticActionDataset:
 
 
 def save_dataset(path, ds: SyntheticActionDataset) -> None:
-    """One JSON header line, then the series as little-endian float32."""
+    """The series as the container payload, everything else in its header."""
     header = {
         "channels": int(ds.series.shape[2]),
         "coeffs": ds.template_coeffs.tolist(),
@@ -227,30 +167,16 @@ def save_dataset(path, ds: SyntheticActionDataset) -> None:
         "test_idx": ds.test_idx.tolist(),
         "train_idx": ds.train_idx.tolist(),
     }
-    with open(Path(path), "wb") as fh:
-        fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")).encode())
-        fh.write(b"\n")
-        fh.write(np.ascontiguousarray(ds.series, dtype="<f4").tobytes())
+    container.write(path, header, ds.series)
 
 
 def load_dataset(path) -> SyntheticActionDataset:
-    with open(Path(path), "rb") as fh:
-        header = json.loads(fh.readline().decode())
-        raw = fh.read()
-    n = len(header["labels"])
-    expected = n * header["frames"] * header["channels"] * 4
-    if len(raw) != expected:
-        raise ValueError(f"series payload is {len(raw)} bytes, expected {expected}")
-    series = (
-        np.frombuffer(raw, dtype="<f4")
-        .reshape(n, header["frames"], header["channels"])
-        .copy()
-    )
+    header, series = container.read(path, container.DATASET, ("frames", "channels"))
     return SyntheticActionDataset(
-        series=series,
-        labels=np.asarray(header["labels"], dtype=int),
-        speeds=np.asarray(header["speeds"], dtype=int),
-        train_idx=np.asarray(header["train_idx"], dtype=int),
-        test_idx=np.asarray(header["test_idx"], dtype=int),
-        template_coeffs=np.asarray(header["coeffs"], dtype=float),
+        series=series.copy(),
+        labels=header["labels"],
+        speeds=header["speeds"],
+        train_idx=header["train_idx"],
+        test_idx=header["test_idx"],
+        template_coeffs=header["coeffs"],
     )

@@ -4,8 +4,7 @@ The encoding route mirrors the recognition pipeline the theory feeds into:
 raw windowed descriptors are PCA-reduced by a factor of two, augmented
 with their normalized temporal location, soft-assigned to a diagonal
 Gaussian mixture, and summarized as the mixture's normalized mean- and
-variance-gradient statistics. Power and L2 normalization follow, with a
-final renormalization after concatenation.
+variance-gradient statistics. Power and L2 normalization follow.
 
 Descriptors from every skip level are pooled into one encoding per
 sample; the stacked representation differs from a single-skip one only in
@@ -17,12 +16,16 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
+from .config import ExperimentConfig
 from .features import SeriesDescriptorSet
 from .streams import as_generator
 
+EM_MAX_ITERS = 100
+EM_TOL = 1e-6
 WEIGHT_COLLAPSE = 1e-8
 MAX_RESEEDS = 3
 VARIANCE_FLOOR_RATIO = 1e-6
@@ -150,20 +153,14 @@ def _seed_means(data: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarra
     return means
 
 
-def gmm_fit(
-    data: np.ndarray,
-    k_components: int,
-    max_iters: int = 100,
-    tol: float = 1e-6,
-    rng=0,
-) -> GmmModel:
+def gmm_fit(data: np.ndarray, k_components: int, rng=0) -> GmmModel:
     """Diagonal-covariance EM with k-means++ seeding.
 
     The mean per-point log-likelihood is recorded at every E-step and is
     non-decreasing; iteration stops when its relative change falls below
-    ``tol``. A component whose weight collapses below 1e-8 is re-seeded at
-    a random data point (at most 3 times per component) before the fit is
-    abandoned with ConvergenceError.
+    EM_TOL or after EM_MAX_ITERS E-steps. A component whose weight
+    collapses below 1e-8 is re-seeded at a random data point (at most 3
+    times per component) before the fit is abandoned with ConvergenceError.
     """
     data = np.asarray(data, dtype=float)
     rng = as_generator(rng)
@@ -179,10 +176,10 @@ def gmm_fit(
     )
     trace = []
     reseeds = np.zeros(k_components, dtype=int)
-    for _ in range(max_iters):
+    for _ in range(EM_MAX_ITERS):
         post, ll = _posteriors(gmm, data)
         trace.append(ll)
-        if len(trace) > 1 and abs(trace[-1] - trace[-2]) <= tol * abs(trace[-2]):
+        if len(trace) > 1 and abs(trace[-1] - trace[-2]) <= EM_TOL * abs(trace[-2]):
             break
         mass = post.sum(axis=0)
         collapsed = np.flatnonzero(mass / n < WEIGHT_COLLAPSE)
@@ -220,8 +217,6 @@ class FisherEncoding:
     """Concatenated mean- and variance-gradient blocks, 2 * K * D values."""
 
     vector: np.ndarray
-    powered: bool = False
-    l2_normalized: bool = False
     zero_flag: bool = False
 
 
@@ -270,36 +265,10 @@ def l2_normalize(v: np.ndarray) -> np.ndarray:
     return v if norm == 0 else v / norm
 
 
-def concat_renormalize(parts: list[np.ndarray]) -> np.ndarray:
-    """Power + L2 each part, concatenate, then L2 the whole."""
-    if not parts:
-        raise ValueError("need at least one part")
-    normed = [l2_normalize(power_normalize(p)) for p in parts]
-    return l2_normalize(np.concatenate(normed))
-
-
-@dataclass(frozen=True)
-class CodecConfig:
-    """Desk-scale encoding configuration.
-
-    The reference pipeline uses 256 Gaussians trained on 256k descriptors;
-    the defaults keep the same 1:1000 component-to-budget ratio at desk
-    scale. ``renormalize`` applies the final L2 pass after concatenation.
-    """
-
-    k_components: int = 16
-    train_budget: int = 20000
-    max_iters: int = 100
-    tol: float = 1e-6
-    renormalize: bool = True
-    pca_components: int = 0  # 0 keeps ceil(D/2)
-
-
 @dataclass
 class FisherCodec:
     pca: PcaTransform
     gmm: GmmModel
-    config: CodecConfig
 
     @property
     def encoding_dim(self) -> int:
@@ -313,7 +282,7 @@ def _augment(codec_pca: PcaTransform, ds: SeriesDescriptorSet) -> np.ndarray:
 
 def fit_codec(
     descriptor_sets: list[SeriesDescriptorSet],
-    config: CodecConfig,
+    config: ExperimentConfig,
     rng=0,
 ) -> FisherCodec:
     """Fit PCA on the pooled descriptors and a GMM on the reduced pool.
@@ -334,8 +303,8 @@ def fit_codec(
     if reduced.shape[0] > config.train_budget:
         pick = rng.choice(reduced.shape[0], size=config.train_budget, replace=False)
         reduced = reduced[pick]
-    gmm = gmm_fit(reduced, config.k_components, config.max_iters, config.tol, rng)
-    return FisherCodec(pca=pca, gmm=gmm, config=config)
+    gmm = gmm_fit(reduced, config.gmm_components, rng=rng)
+    return FisherCodec(pca=pca, gmm=gmm)
 
 
 def encode_sample(codec: FisherCodec, ds: SeriesDescriptorSet) -> FisherEncoding:
@@ -346,17 +315,13 @@ def encode_sample(codec: FisherCodec, ds: SeriesDescriptorSet) -> FisherEncoding
     """
     if ds.descriptors.shape[0] == 0:
         warnings.warn("empty descriptor set encodes to a zero vector")
-        return FisherEncoding(
-            vector=np.zeros(codec.encoding_dim),
-            powered=True,
-            l2_normalized=True,
-            zero_flag=True,
-        )
+        return FisherEncoding(vector=np.zeros(codec.encoding_dim), zero_flag=True)
     raw = fisher_vector(codec.gmm, _augment(codec.pca, ds))
     vec = l2_normalize(power_normalize(raw.vector))
-    if codec.config.renormalize:
-        vec = l2_normalize(vec)
-    return FisherEncoding(vector=vec, powered=True, l2_normalized=True)
+    # The second pass only moves the last bits of a vector that is already
+    # unit-norm, but the coordinate-descent SVM amplifies those bits into
+    # different grid accuracies, so it stays to keep the outputs as they are.
+    return FisherEncoding(vector=l2_normalize(vec))
 
 
 def encode_dataset(
@@ -370,8 +335,6 @@ def encode_dataset(
 
 
 def save_codec(codec: FisherCodec, path) -> None:
-    from pathlib import Path
-
     doc = {
         "pca": {
             "mean": codec.pca.mean.tolist(),
@@ -383,20 +346,11 @@ def save_codec(codec: FisherCodec, path) -> None:
             "means": codec.gmm.means.tolist(),
             "variances": codec.gmm.variances.tolist(),
         },
-        "config": {
-            "k_components": codec.config.k_components,
-            "train_budget": codec.config.train_budget,
-            "max_iters": codec.config.max_iters,
-            "tol": codec.config.tol,
-            "renormalize": codec.config.renormalize,
-        },
     }
     Path(path).write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def load_codec(path) -> FisherCodec:
-    from pathlib import Path
-
     doc = json.loads(Path(path).read_text())
     return FisherCodec(
         pca=PcaTransform(
@@ -409,5 +363,4 @@ def load_codec(path) -> FisherCodec:
             means=np.asarray(doc["gmm"]["means"]),
             variances=np.asarray(doc["gmm"]["variances"]),
         ),
-        config=CodecConfig(**doc["config"]),
     )

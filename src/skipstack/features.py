@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import container
 from .latent import LatentModel, sample_difference_matrix
 from .streams import as_generator, stream
 
@@ -301,29 +300,3 @@ def level_cost_report(schedule: SkipSchedule) -> CostReport:
     )
     return CostReport(rows=rows, total_relative=sum(r.relative for r in rows))
 
-
-def save_feature_matrix(path, fm: FeatureMatrix, which: str = "p", extra: dict | None = None) -> None:
-    """Persist one of the two matrices ("p" or "f") in the binary container."""
-    if which == "p":
-        matrix, kind = fm.p, "P"
-    elif which == "f":
-        if fm.f is None:
-            raise ValueError("this feature matrix carries no observed features")
-        matrix, kind = fm.f, "F"
-    else:
-        raise ValueError(f"which must be 'p' or 'f', got {which!r}")
-    meta = {"taus": [float(t) for t in np.unique(fm.tau_of_column)]}
-    if extra:
-        meta.update(extra)
-    container.write_matrix(path, matrix, kind, fm.level_of_column, extra=meta)
-
-
-def save_descriptors(path, ds: SeriesDescriptorSet, extra: dict | None = None) -> None:
-    container.write_matrix(
-        path,
-        ds.descriptors,
-        "DESC",
-        ds.level_of_row,
-        extra=extra,
-        locations=ds.locations,
-    )

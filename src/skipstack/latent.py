@@ -23,18 +23,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .streams import as_generator, stream
+from .streams import stream
 
 MAX_COLUMN_COHERENCE = 0.99
-
-
-@dataclass(frozen=True)
-class MixingPair:
-    """One coefficient sample and its value one time skip later."""
-
-    alpha_t: float
-    alpha_t_tau: float
-    tau: float
 
 
 @dataclass
@@ -121,44 +112,6 @@ def flip_band(gamma: float, tau: float, c: float) -> tuple[float, float]:
             f"(gamma={gamma}, tau={tau}, c={c})"
         )
     return lo, hi
-
-
-def sample_mixing_pair(
-    model: LatentModel,
-    signal_index: int,
-    tau: float,
-    rng: np.random.Generator,
-) -> MixingPair:
-    """Draw one (alpha_t, alpha_{t+tau}) pair for the given component."""
-    if not 0 <= signal_index < model.k:
-        raise ValueError(f"signal_index must lie in [0, {model.k}), got {signal_index}")
-    lo, hi = flip_band(model.gammas[signal_index], tau, model.c)
-    alpha = 1.0 if rng.integers(0, 2) else -1.0
-    q = rng.uniform(lo, hi)
-    flipped = rng.random() < q
-    return MixingPair(alpha_t=alpha, alpha_t_tau=-alpha if flipped else alpha, tau=tau)
-
-
-def sample_alpha_path(
-    model: LatentModel,
-    signal_index: int,
-    times,
-    tau: float,
-    rng: np.random.Generator,
-) -> list[MixingPair]:
-    """Independent mixing pairs at each requested sample time.
-
-    ``times`` must be strictly increasing and satisfy ``t + tau <= 1`` so
-    the second member of every pair stays inside the normalized duration.
-    """
-    times = np.asarray(times, dtype=float)
-    if times.size == 0:
-        return []
-    if np.any(np.diff(times) <= 0):
-        raise ValueError("times must be strictly increasing")
-    if times[0] < 0 or np.any(times + tau > 1.0 + 1e-12):
-        raise ValueError("every time must satisfy 0 <= t and t + tau <= 1")
-    return [sample_mixing_pair(model, signal_index, tau, rng) for _ in range(times.size)]
 
 
 def sample_difference_matrix(

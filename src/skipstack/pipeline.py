@@ -7,11 +7,13 @@ dataset and seed so the comparison is paired.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import repeat
 
 from .classify import EvalReport, evaluate, svm_train
+from .config import ExperimentConfig, schedule_of
 from .dataset import SyntheticActionDataset
-from .encoder import CodecConfig, encode_dataset, fit_codec
+from .encoder import encode_dataset, fit_codec
 from .features import (
     SeriesDescriptorSet,
     SkipSchedule,
@@ -19,19 +21,6 @@ from .features import (
     level_cost_report,
 )
 from .streams import stream
-
-
-@dataclass(frozen=True)
-class RecognitionConfig:
-    window: int = 6
-    codec: CodecConfig = field(default_factory=CodecConfig)
-    svm_c: float = 100.0
-    epochs: int = 200
-    tol: float = 1e-6
-
-    def __post_init__(self) -> None:
-        if self.window < 1:
-            raise ValueError(f"window must be >= 1, got {self.window}")
 
 
 @dataclass
@@ -63,24 +52,21 @@ def extract_all(
 def run_schedule(
     dataset: SyntheticActionDataset,
     schedule: SkipSchedule,
-    config: RecognitionConfig,
-    seed: int,
+    config: ExperimentConfig,
     salt: int = 0,
 ) -> RecognitionRun:
     """One full pass: codec fit on the training split only, report on test."""
     descriptors = extract_all(dataset, schedule, config.window)
     train_descs = [descriptors[i] for i in dataset.train_idx]
     test_descs = [descriptors[i] for i in dataset.test_idx]
-    codec = fit_codec(train_descs, config.codec, rng=stream(seed, 2, salt))
+    codec = fit_codec(train_descs, config, rng=stream(config.seed, 2, salt))
     x_train, _ = encode_dataset(codec, train_descs)
     x_test, _ = encode_dataset(codec, test_descs)
     classifier = svm_train(
         x_train,
         dataset.labels[dataset.train_idx],
         c=config.svm_c,
-        epochs=config.epochs,
-        tol=config.tol,
-        seed=(seed, 3, salt),
+        seed=(config.seed, 3, salt),
     )
     report = evaluate(classifier, x_test, dataset.labels[dataset.test_idx])
     return RecognitionRun(
@@ -98,15 +84,15 @@ def grid_schedules(frames: int, max_level: int) -> list[SkipSchedule]:
 
 
 def recognition_grid(
-    dataset: SyntheticActionDataset,
-    max_level: int,
-    config: RecognitionConfig,
-    seed: int,
+    dataset: SyntheticActionDataset, config: ExperimentConfig, map=map
 ) -> dict[str, RecognitionRun]:
-    """One run per grid schedule, keyed by schedule label."""
-    schedules = grid_schedules(dataset.frames, max_level)
-    runs = {}
-    for salt, schedule in enumerate(schedules):
-        run = run_schedule(dataset, schedule, config, seed, salt=salt)
-        runs[run.label] = run
-    return runs
+    """One run per grid schedule up to ``config.levels`` plus the config's
+    masked schedule if new, keyed by label. Schedule i runs with salt i, so
+    an executor's ``map`` may run them concurrently without changing a result."""
+    schedules = grid_schedules(dataset.frames, config.levels)
+    if config.exclude:
+        masked = schedule_of(config, dataset.frames)
+        if masked.label not in {schedule.label for schedule in schedules}:
+            schedules.append(masked)
+    runs = map(run_schedule, repeat(dataset), schedules, repeat(config), range(len(schedules)))
+    return {run.label: run for run in runs}

@@ -10,9 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-SeedLike = "int | tuple[int, ...] | np.random.Generator"
-
-
 def stream(seed: int | tuple[int, ...], *key: int) -> np.random.Generator:
     """Generator for (seed, *key); same arguments always give the same stream."""
     if isinstance(seed, (int, np.integer)):

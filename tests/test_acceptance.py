@@ -27,11 +27,7 @@ from skipstack.conditioning import (
     theorem1_bounds,
     theorem2_bounds,
 )
-from skipstack.config import (
-    ExperimentConfig,
-    dataset_config_of,
-    recognition_config_of,
-)
+from skipstack.config import ExperimentConfig
 from skipstack.dataset import generate_dataset
 from skipstack.encoder import GmmModel, fisher_vector, gmm_fit, gmm_sample, mean_log_likelihood
 from skipstack.features import SkipSchedule, level_cost_report, mifs_stack
@@ -217,8 +213,8 @@ def test_c09_stacking_beats_single_scale_on_the_grid():
     maccs: dict[str, list[float]] = {}
     for seed in range(10):
         exp = ExperimentConfig(seed=seed)
-        ds = generate_dataset(dataset_config_of(exp))
-        runs = recognition_grid(ds, 3, recognition_config_of(exp), seed)
+        ds = generate_dataset(exp)
+        runs = recognition_grid(ds, exp)
         for label, run in runs.items():
             maccs.setdefault(label, []).append(run.report.macc)
     mean = {label: statistics.fmean(values) for label, values in maccs.items()}

@@ -244,6 +244,98 @@ class TestDataVerbs:
         assert run(cfg, out, "train") == 2
         assert "expected" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "verb, name, mangle",
+        [
+            ("train", "encodings.bin", lambda h: h.pop("labels")),
+            ("evaluate", "encodings.bin", lambda h: h.update(test_idx=[999])),
+            ("train", "encodings.bin", lambda h: h.update(cols=[h["cols"]])),
+            ("encode", "dataset.bin", lambda h: h.pop("channels")),
+            ("encode", "dataset.bin", lambda h: h.update(train_idx=[-1])),
+        ],
+    )
+    def test_malformed_header_exit_2(self, chain, tmp_path, capsys, verb, name, mangle):
+        out = tmp_path / "out"
+        out.mkdir()
+        for source in ("dataset.bin", "encodings.bin", "classifier.json"):
+            (out / source).write_bytes((chain / source).read_bytes())
+        line, payload = (out / name).read_bytes().split(b"\n", 1)
+        header = json.loads(line)
+        mangle(header)
+        (out / name).write_bytes(json.dumps(header).encode() + b"\n" + payload)
+        assert run(write_config(tmp_path), out, verb) == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and name in err
+
+    @pytest.mark.parametrize("target", ["config.json", "encodings.bin", "classifier.json"])
+    def test_deeply_nested_json_exit_2(self, chain, tmp_path, capsys, target):
+        out = tmp_path / "out"
+        out.mkdir()
+        for source in ("encodings.bin", "classifier.json"):
+            (out / source).write_bytes((chain / source).read_bytes())
+        cfg = write_config(tmp_path)
+        deep = b"[" * 100000 + b"]" * 100000
+        (cfg if target == "config.json" else out / target).write_bytes(deep + b"\n")
+        assert run(cfg, out, "evaluate") == 2
+        assert capsys.readouterr().err.count("error:") == 1
+
+    @pytest.mark.parametrize("verb, name", [("train", "encodings.bin"), ("encode", "dataset.bin")])
+    def test_header_that_is_not_an_object_exit_2(self, tmp_path, capsys, verb, name):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / name).write_bytes(b'["cols", "labels"]\n')
+        assert run(write_config(tmp_path), out, verb) == 2
+        assert "JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "document, message",
+        [
+            ({"models": []}, "not a classifier"),
+            ({"classes": [0, 1, 2], "models": []}, "3 classes but 0 models"),
+            ([], "not a classifier"),
+            ({"classes": [0], "models": [{"w": [1.0], "b": 0.0}]}, "not a classifier"),
+            ({"classes": [0, 1], "models": [{"w": [1.0], "b": 0, "c": 1}] * 3}, "2 classes but 3"),
+            ({"classes": ["a"], "models": [{"w": [1.0], "b": 0, "c": 1}]}, "integer labels"),
+            ({"classes": [0, 1], "models": [{"w": [1.0], "b": 0, "c": 1}, {"w": [1.0, 2.0], "b": 0, "c": 1}]}, "one length"),
+        ],
+    )
+    def test_malformed_classifier_exit_2(self, chain, tmp_path, capsys, document, message):
+        bad = tmp_path / "classifier.json"
+        bad.write_text(json.dumps(document))
+        code = run(
+            write_config(tmp_path), tmp_path / "out", "evaluate",
+            "--encodings", str(chain / "encodings.bin"), "--classifier", str(bad),
+        )
+        assert code == 2
+        assert message in capsys.readouterr().err
+
+
+class TestConfigErrors:
+    @pytest.mark.parametrize(
+        "verb, overrides, message",
+        [
+            ("run-recognition", dict(gmm_components=0), "gmm_components"),
+            ("encode", dict(gmm_components=0), "gmm_components"),
+            ("model-gen", dict(levels="3"), "levels must be of type int"),
+            ("dataset-gen", dict(speeds=[5]), "speeds"),
+            ("run-recognition", dict(window=0), "window"),
+            ("train", dict(svm_c=-1.0), "svm_c"),
+        ],
+    )
+    def test_bad_field_exit_2_before_any_work(self, tmp_path, capsys, verb, overrides, message):
+        out = tmp_path / "out"
+        assert run(write_config(tmp_path, **overrides), out, verb) == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and message in err
+        assert not out.exists()
+
+    def test_manifest_hash_ignores_the_output_directory(self, tmp_path):
+        cfg = write_config(tmp_path)
+        for out in (tmp_path / "a", tmp_path / "b"):
+            assert run(cfg, out, "cost-report") == 0
+        manifests = [json.loads((tmp_path / d / "cost-report-manifest.json").read_text()) for d in "ab"]
+        assert manifests[0] == manifests[1]
+
 
 class TestRunRecognition:
     def test_grid_labels_and_reports(self, tmp_path):
@@ -362,16 +454,43 @@ class TestPlot:
 class TestParser:
     def test_threads_env_fallback(self, monkeypatch):
         monkeypatch.setenv("SKIPSTACK_THREADS", "7")
-        assert _build_parser().parse_args(["model-gen"]).threads == 7
+        assert _build_parser().parse_args(["run-recognition"]).threads == 7
 
     def test_threads_default_is_one(self, monkeypatch):
         monkeypatch.delenv("SKIPSTACK_THREADS", raising=False)
-        assert _build_parser().parse_args(["model-gen"]).threads == 1
+        assert _build_parser().parse_args(["run-recognition"]).threads == 1
 
     def test_threads_flag_beats_env(self, monkeypatch):
         monkeypatch.setenv("SKIPSTACK_THREADS", "7")
-        args = _build_parser().parse_args(["model-gen", "--threads", "2"])
+        args = _build_parser().parse_args(["run-recognition", "--threads", "2"])
         assert args.threads == 2
+
+    @pytest.mark.parametrize("threads", ["0", "-3", "two"])
+    def test_threads_below_one_exit_2(self, threads, capsys):
+        with pytest.raises(SystemExit) as exc:
+            _build_parser().parse_args(["run-recognition", "--threads", threads])
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
+
+    def test_threads_env_below_one_exit_2(self, monkeypatch):
+        monkeypatch.setenv("SKIPSTACK_THREADS", "0")
+        with pytest.raises(SystemExit) as exc:
+            _build_parser().parse_args(["run-recognition"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "verb, flag",
+        [("model-gen", "--threads"), ("encode", "--threads"), ("model-gen", "--format"), ("train", "--format")],
+    )
+    def test_flags_only_where_they_act(self, verb, flag):
+        value = "2" if flag == "--threads" else "json"
+        with pytest.raises(SystemExit) as exc:
+            _build_parser().parse_args([verb, flag, value])
+        assert exc.value.code == 2
+
+    def test_format_on_the_tabular_verbs(self):
+        for verb in ("sim-bounds", "run-recognition", "cost-report"):
+            assert _build_parser().parse_args([verb, "--format", "json"]).fmt == "json"
 
     def test_unknown_config_file_exit_2(self, tmp_path, capsys):
         code = main(

@@ -2,15 +2,11 @@
 
 import json
 
+import numpy as np
 import pytest
 
-from skipstack.config import (
-    ExperimentConfig,
-    config_hash,
-    dataset_config_of,
-    load_config,
-    schedule_of,
-)
+from skipstack.config import ExperimentConfig, config_hash, load_config, schedule_of
+from skipstack.dataset import generate_dataset
 
 
 def write_config(tmp_path, **fields):
@@ -68,11 +64,46 @@ class TestValidation:
             (dict(delta=1.5), "delta"),
             (dict(cv_folds=-1), "cv_folds"),
             (dict(base_tau=-0.1), "base_tau"),
+            (dict(gmm_components=0), "gmm_components"),
+            (dict(gmm_components=4, train_budget=39), "train_budget"),
+            (dict(pca_components=-1), "pca_components"),
+            (dict(window=0), "window"),
+            (dict(svm_c=0.0), "svm_c"),
+            (dict(cv_folds=1), "cv_folds"),
+            (dict(seed=-1), "seed"),
+            (dict(speeds=(5,)), "speeds"),
         ],
     )
     def test_bad_values(self, fields, message):
         with pytest.raises(ValueError, match=message):
-            ExperimentConfig(seed=0, **fields)
+            ExperimentConfig(**{"seed": 0, **fields})
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            dict(levels="3"),
+            dict(levels=3.0),
+            dict(levels=True),
+            dict(svm_c="100"),
+            dict(svm_c=float("nan")),
+            dict(svm_c=float("inf")),
+            dict(noise_sigma=10**400),
+            dict(frames=2**63),
+            dict(gammas=[1.0, "2"]),
+            dict(gammas=1.0),
+            dict(speeds=[1.0, 2.0]),
+            dict(out_dir=3),
+            dict(seed=None),
+        ],
+    )
+    def test_json_type_of_every_field_is_checked(self, fields):
+        with pytest.raises(ValueError, match=f"{next(iter(fields))} must be of type"):
+            ExperimentConfig(**{"seed": 0, **fields})
+
+    def test_ints_accepted_where_floats_are_expected(self):
+        config = ExperimentConfig(seed=0, svm_c=10, gammas=[1, 1, 8, 8])
+        assert config.svm_c == 10
+        assert config.gammas == (1, 1, 8, 8)
 
     def test_frames_derive_base_tau_when_unset(self):
         config = ExperimentConfig(seed=0, base_tau=0.0, frames=50)
@@ -90,18 +121,22 @@ class TestAdapters:
         assert schedule.label == "L=2-0"
         assert schedule.included_levels == (1, 2)
 
+    def test_schedule_reads_skips_off_a_frame_count(self):
+        config = ExperimentConfig(seed=0, levels=2, exclude=(0,), base_tau=0.02)
+        schedule = schedule_of(config, frames=50)
+        assert schedule.label == "L=2-0"
+        assert schedule.base_tau == 1.0 / 50
+        assert schedule_of(config).base_tau == 0.02
+
     def test_dataset_config_carries_seed(self):
         config = ExperimentConfig(seed=11, n_classes=3, speeds=(1, 2), samples_per_cell=4)
-        ds_config = dataset_config_of(config)
-        assert ds_config.seed == 11
-        assert ds_config.speeds == (1, 2)
-
-    def test_renormalize_toggle_reaches_codec(self):
-        from skipstack.config import codec_config_of
-
-        assert codec_config_of(ExperimentConfig(seed=0)).renormalize is True
-        off = ExperimentConfig(seed=0, renormalize=False)
-        assert codec_config_of(off).renormalize is False
+        ds = generate_dataset(config)
+        assert sorted(set(ds.speeds.tolist())) == [1, 2]
+        assert np.array_equal(ds.series, generate_dataset(config).series)
+        other = generate_dataset(
+            ExperimentConfig(seed=12, n_classes=3, speeds=(1, 2), samples_per_cell=4)
+        )
+        assert not np.array_equal(ds.series, other.series)
 
 
 class TestHash:
@@ -112,4 +147,5 @@ class TestHash:
         base = config_hash(ExperimentConfig(seed=0))
         assert config_hash(ExperimentConfig(seed=1)) != base
         assert config_hash(ExperimentConfig(seed=0, trials=201)) != base
-        assert config_hash(ExperimentConfig(seed=0, out_dir="elsewhere")) != base
+        # the hash names the experiment, not the directory it is written to
+        assert config_hash(ExperimentConfig(seed=0, out_dir="elsewhere")) == base

@@ -1,10 +1,14 @@
 """Tests for the synthetic multi-speed dataset generator."""
 
+import json
+
 import numpy as np
 import pytest
 
+import skipstack.dataset
+from skipstack.config import ExperimentConfig
 from skipstack.dataset import (
-    DatasetConfig,
+    MAX_TEMPLATE_CORRELATION,
     SyntheticActionDataset,
     generate_dataset,
     load_dataset,
@@ -21,16 +25,17 @@ def small_config(**overrides):
         samples_per_cell=4,
         frames=64,
         channels=2,
+        noise_sigma=0.05,
         seed=0,
     )
     defaults.update(overrides)
-    return DatasetConfig(**defaults)
+    return ExperimentConfig(**defaults)
 
 
 class TestConfigValidation:
     def test_defaults_are_valid(self):
-        config = DatasetConfig()
-        assert config.n_samples == 5 * 3 * 10
+        ds = generate_dataset(ExperimentConfig(seed=0))
+        assert ds.series.shape == (5 * 3 * 10, 96, 3)
 
     @pytest.mark.parametrize(
         "overrides, message",
@@ -61,15 +66,16 @@ class TestTemplates:
             assert rms == pytest.approx(np.ones(wave.shape[1]), abs=1e-12)
 
     def test_pairwise_correlation_below_threshold(self):
-        config = DatasetConfig(seed=7)
+        config = ExperimentConfig(seed=7)
         ds = generate_dataset(config)
         corr = template_correlation_matrix(ds.template_coeffs, config.frames)
         off = corr[~np.eye(config.n_classes, dtype=bool)]
-        assert np.all(np.abs(off) < config.max_template_correlation)
+        assert np.all(np.abs(off) < MAX_TEMPLATE_CORRELATION)
 
-    def test_impossible_threshold_raises(self):
+    def test_impossible_threshold_raises(self, monkeypatch):
+        monkeypatch.setattr(skipstack.dataset, "MAX_TEMPLATE_CORRELATION", 0.01)
         with pytest.raises(ValueError, match="correlation"):
-            generate_dataset(small_config(n_classes=5, max_template_correlation=0.01))
+            generate_dataset(small_config(n_classes=5))
 
     def test_speed_grid_matches_subsampled_slow_grid(self):
         # frame j at speed 2 reads the same phase as frame 2j at speed 1
@@ -82,7 +88,7 @@ class TestTemplates:
 
 class TestGeneration:
     def test_sample_counts_and_split_sizes(self):
-        config = DatasetConfig(samples_per_cell=20)
+        config = ExperimentConfig(seed=0, samples_per_cell=20)
         ds = generate_dataset(config)
         assert ds.series.shape == (300, config.frames, config.channels)
         assert len(ds.train_idx) == 200
@@ -196,3 +202,30 @@ class TestPersistence:
         save_dataset(a, ds)
         save_dataset(b, generate_dataset(small_config(seed=11)))
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize(
+        "mangle, message",
+        [
+            (lambda h: h.pop("channels"), "lacks 'channels'"),
+            (lambda h: h.update(frames="64"), "'frames' must be a positive integer"),
+            (lambda h: h.update(labels=[0.5] * len(h["labels"])), "'labels' must be a list"),
+            (lambda h: h.update(coeffs="none"), "'coeffs' must be a nested list"),
+            (lambda h: h["test_idx"].append(999), "test_idx must lie in"),
+            (lambda h: h["train_idx"].__setitem__(0, -1), "train_idx must lie in"),
+        ],
+    )
+    def test_malformed_header_rejected(self, tmp_path, mangle, message):
+        path = tmp_path / "dataset.bin"
+        save_dataset(path, generate_dataset(small_config()))
+        line, payload = path.read_bytes().split(b"\n", 1)
+        header = json.loads(line)
+        mangle(header)
+        path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+        with pytest.raises(ValueError, match=message):
+            load_dataset(path)
+
+    def test_header_that_is_not_an_object_rejected(self, tmp_path):
+        path = tmp_path / "dataset.bin"
+        path.write_bytes(b"[1, 2]\n")
+        with pytest.raises(ValueError, match="JSON object"):
+            load_dataset(path)

@@ -7,12 +7,11 @@ import numpy as np
 import pytest
 
 import skipstack.encoder as enc
+from skipstack.config import ExperimentConfig
 from skipstack.encoder import (
-    CodecConfig,
     ConvergenceError,
     FisherCodec,
     GmmModel,
-    concat_renormalize,
     encode_dataset,
     encode_sample,
     fisher_vector,
@@ -29,6 +28,9 @@ from skipstack.encoder import (
 )
 from skipstack.features import SeriesDescriptorSet, SkipSchedule, extract_series_descriptors
 from skipstack.streams import stream
+
+
+CODEC_CONFIG = ExperimentConfig(seed=0, gmm_components=4, train_budget=500)
 
 
 def toy_descriptor_sets(n_sets=6, frames=64, channels=3, seed=0):
@@ -245,24 +247,16 @@ class TestNormalization:
         z = np.zeros(4)
         assert np.array_equal(l2_normalize(z), z)
 
-    def test_concat_renormalize_two_unit_parts(self):
-        parts = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
-        out = concat_renormalize(parts)
-        assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-12)
-        assert np.linalg.norm(out[:2]) == pytest.approx(1 / math.sqrt(2), abs=1e-12)
-        assert np.linalg.norm(out[2:]) == pytest.approx(1 / math.sqrt(2), abs=1e-12)
-
     def test_chain_output_unit_norm(self):
         rng = np.random.default_rng(12)
-        out = concat_renormalize([rng.normal(size=30), rng.normal(size=20)])
+        out = l2_normalize(power_normalize(rng.normal(size=50)))
         assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-10)
 
 
 class TestCodec:
     def test_encoding_dimension(self):
         sets = toy_descriptor_sets()
-        config = CodecConfig(k_components=4, train_budget=500)
-        codec = fit_codec(sets, config, rng=stream(13))
+        codec = fit_codec(sets, CODEC_CONFIG, rng=stream(13))
         d_raw = sets[0].descriptors.shape[1]
         d_reduced = (d_raw + 1) // 2
         assert codec.encoding_dim == 2 * 4 * (d_reduced + 1)
@@ -272,14 +266,14 @@ class TestCodec:
 
     def test_identical_descriptors_identical_encodings(self):
         sets = toy_descriptor_sets()
-        codec = fit_codec(sets, CodecConfig(k_components=4, train_budget=500), rng=stream(14))
+        codec = fit_codec(sets, CODEC_CONFIG, rng=stream(14))
         a = encode_sample(codec, sets[2]).vector
         b = encode_sample(codec, sets[2]).vector
         assert np.array_equal(a, b)
 
     def test_empty_set_encodes_to_flagged_zero(self):
         sets = toy_descriptor_sets()
-        codec = fit_codec(sets, CodecConfig(k_components=4, train_budget=500), rng=stream(15))
+        codec = fit_codec(sets, CODEC_CONFIG, rng=stream(15))
         empty = SeriesDescriptorSet(
             descriptors=np.zeros((0, sets[0].descriptors.shape[1])),
             locations=np.zeros(0),
@@ -296,11 +290,12 @@ class TestCodec:
 
     def test_save_load_round_trip(self, tmp_path):
         sets = toy_descriptor_sets()
-        codec = fit_codec(sets, CodecConfig(k_components=4, train_budget=500), rng=stream(16))
+        codec = fit_codec(sets, CODEC_CONFIG, rng=stream(16))
         path = tmp_path / "codec.json"
         save_codec(codec, path)
         back = load_codec(path)
         a = encode_sample(codec, sets[1]).vector
         b = encode_sample(back, sets[1]).vector
         assert np.array_equal(a, b)
-        assert back.config == codec.config
+        assert np.array_equal(back.gmm.variances, codec.gmm.variances)
+        assert np.array_equal(back.pca.projection, codec.pca.projection)

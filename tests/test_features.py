@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from skipstack.container import read_matrix, write_matrix
+from skipstack import container
 from skipstack.features import (
     SkipSchedule,
     build_feature_matrix,
@@ -11,8 +11,6 @@ from skipstack.features import (
     level_cost_report,
     mifs_stack,
     parse_schedule_label,
-    save_descriptors,
-    save_feature_matrix,
 )
 from skipstack.latent import new_model
 from skipstack.streams import stream
@@ -217,43 +215,23 @@ class TestCostReport:
 
 
 class TestContainer:
-    def test_feature_matrix_round_trip(self, tmp_path):
-        fm = mifs_stack(make_model(), SkipSchedule(base_tau=1 / 30, levels=1), seed=12)
-        path = tmp_path / "p.bin"
-        save_feature_matrix(path, fm, which="p")
-        header, matrix, locations = read_matrix(path)
-        assert header["kind"] == "P"
-        assert (header["rows"], header["cols"]) == fm.p.shape
-        assert header["levels"] == list(fm.level_of_column)
-        assert locations is None
-        np.testing.assert_array_equal(matrix, fm.p.astype(np.float32))
-
-    def test_descriptor_round_trip(self, tmp_path):
-        series = np.random.default_rng(3).normal(size=(50, 2))
-        ds = extract_series_descriptors(series, SkipSchedule.from_frames(50, 1), window=3)
-        path = tmp_path / "d.bin"
-        save_descriptors(path, ds)
-        header, matrix, locations = read_matrix(path)
-        assert header["kind"] == "DESC"
-        np.testing.assert_array_equal(matrix, ds.descriptors.astype(np.float32))
-        np.testing.assert_array_equal(locations, ds.locations.astype(np.float32))
+    """The binary container that carries the dataset series and the encodings."""
 
     def test_header_is_single_json_line(self, tmp_path):
         path = tmp_path / "m.bin"
-        write_matrix(path, np.zeros((2, 3)), "P", [0, 0, 1])
-        first = path.read_bytes().split(b"\n", 1)[0]
-        import json
-
-        header = json.loads(first)
-        assert header == {"rows": 2, "cols": 3, "kind": "P", "levels": [0, 0, 1]}
+        header = {"cols": 3, "labels": [0, 1], "test_idx": [1], "train_idx": [0], "zero_flags": [0, 0]}
+        container.write(path, header, np.zeros((2, 3)))
+        first, payload = path.read_bytes().split(b"\n", 1)
+        assert first == b'{"cols":3,"labels":[0,1],"test_idx":[1],"train_idx":[0],"zero_flags":[0,0]}'
+        assert len(payload) == 2 * 3 * 4
+        back, matrix = container.read(path, container.ENCODINGS, ("cols",))
+        assert back["labels"].tolist() == [0, 1]
+        np.testing.assert_array_equal(matrix, np.zeros((2, 3), dtype=np.float32))
 
     def test_truncated_file_rejected(self, tmp_path):
         path = tmp_path / "m.bin"
-        write_matrix(path, np.ones((4, 4)), "F", [0] * 4)
+        header = {"cols": 4, "labels": [0] * 4, "test_idx": [], "train_idx": [], "zero_flags": []}
+        container.write(path, header, np.ones((4, 4)))
         path.write_bytes(path.read_bytes()[:-8])
-        with pytest.raises(ValueError, match="truncated"):
-            read_matrix(path)
-
-    def test_desc_requires_locations(self, tmp_path):
-        with pytest.raises(ValueError, match="location"):
-            write_matrix(tmp_path / "m.bin", np.zeros((2, 2)), "DESC", [0, 0])
+        with pytest.raises(ValueError, match="payload is 56 bytes, expected 64"):
+            container.read(path, container.ENCODINGS, ("cols",))

@@ -1,0 +1,177 @@
+"""Property tests: malformed configs and input files end in a documented
+exit code (2 invalid input, 3 failed convergence, 4 unreadable file),
+never in a traceback.
+
+Every example drives ``main`` in-process on a tiny config, so a raised
+exception fails the test with the input that caused it.
+"""
+
+import json
+import math
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from skipstack.cli import main
+from skipstack.config import ExperimentConfig
+
+TINY = {
+    "seed": 0,
+    "gammas": [0.005, 0.01, 0.04, 0.08],
+    "levels": 1,
+    "trials": 20,
+    "n_classes": 3,
+    "speeds": [1, 2],
+    "samples_per_cell": 4,
+    "frames": 48,
+    "channels": 2,
+    "noise_sigma": 0.1,
+    "gmm_components": 4,
+}
+FIELDS = ExperimentConfig.__dataclass_fields__
+DOCUMENTED = {2, 3, 4}
+FUZZ = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-10, 10) | st.floats(allow_nan=False) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _is_int(value) -> bool:
+    return type(value) is int
+
+
+def _fits(kind: str, value) -> bool:
+    """Whether ``value`` has the JSON type of a field annotated ``kind``."""
+    scalar = {
+        "int": _is_int,
+        "float": lambda v: _is_int(v) or (isinstance(v, float) and math.isfinite(v)),
+        "str": lambda v: isinstance(v, str),
+    }
+    if kind.startswith("tuple["):
+        return isinstance(value, list) and all(map(scalar[kind[6:-6]], value))
+    return scalar[kind](value)
+
+
+@st.composite
+def mistyped_configs(draw):
+    """A tiny config with one field set to a value of the wrong JSON type."""
+    name = draw(st.sampled_from(sorted(FIELDS)))
+    value = draw(json_values.filter(lambda v: not _fits(FIELDS[name].type, v)))
+    return {**TINY, name: value}
+
+
+@st.composite
+def ranged_configs(draw):
+    """A tiny config with a few numeric fields moved to small, often invalid values."""
+    numeric = sorted(name for name, f in FIELDS.items() if f.type in ("int", "float"))
+    names = draw(st.lists(st.sampled_from(numeric), min_size=1, max_size=3, unique=True))
+    values = st.integers(-3, 3) | st.floats(-2.0, 2.0, allow_nan=False)
+    changes = {name: draw(values.filter(lambda v, n=name: _fits(FIELDS[n].type, v))) for name in names}
+    return {**TINY, **changes}
+
+
+def _run(workdir: Path, config: dict, verb: str) -> int:
+    cfg = workdir / "config.json"
+    cfg.write_text(json.dumps(config))
+    return main([verb, "--config", str(cfg), "--out", str(workdir / "out")])
+
+
+@FUZZ
+@given(config=mistyped_configs(), verb=st.sampled_from(["model-gen", "dataset-gen", "encode", "run-recognition"]))
+def test_mistyped_config_exits_2(config, verb):
+    with tempfile.TemporaryDirectory() as tmp:
+        assert _run(Path(tmp), config, verb) == 2
+
+
+@FUZZ
+@given(config=ranged_configs(), verb=st.sampled_from(["model-gen", "cost-report", "sim-bounds", "dataset-gen"]))
+def test_out_of_range_config_never_raises(config, verb):
+    with tempfile.TemporaryDirectory() as tmp:
+        assert _run(Path(tmp), config, verb) in {0} | DOCUMENTED
+
+
+@pytest.fixture(scope="module")
+def chain(tmp_path_factory):
+    """dataset.bin, encodings.bin and classifier.json of the tiny config."""
+    root = tmp_path_factory.mktemp("fuzz")
+    for verb in ("dataset-gen", "encode", "train"):
+        assert _run(root, TINY, verb) == 0
+    return {name: (root / "out" / name).read_bytes() for name in ("dataset.bin", "encodings.bin", "classifier.json")}
+
+
+# the verb that reads each file from the output directory
+READERS = {"dataset.bin": "encode", "encodings.bin": "evaluate", "classifier.json": "evaluate"}
+
+
+def _run_on(chain, name: str, data: bytes) -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        out.mkdir()
+        for source, original in chain.items():
+            (out / source).write_bytes(original)
+        (out / name).write_bytes(data)
+        return _run(Path(tmp), TINY, READERS[name])
+
+
+def _wrong_values(value):
+    """JSON values of another type than a header's ``value``: a positive
+    count, a list of integers, or a nested list of numbers."""
+    if _is_int(value):
+        return json_values.filter(lambda v: not (_is_int(v) and v > 0))
+    if all(map(_is_int, value)):
+        return json_values.filter(lambda v: not (isinstance(v, list) and all(map(_is_int, v))))
+    return json_values.filter(lambda v: not isinstance(v, list))
+
+
+@st.composite
+def mangled_headers(draw, header: dict):
+    """The header with one key dropped, mistyped or (for a split) out of
+    range, or a JSON value that is not an object at all."""
+    key = draw(st.sampled_from(sorted(header)))
+    how = draw(st.sampled_from(["drop", "retype", "index", "not-object"]))
+    if how == "not-object":
+        return draw(json_values.filter(lambda v: not isinstance(v, dict)))
+    if how == "drop":
+        return {k: v for k, v in header.items() if k != key}
+    if how == "index" and key.endswith("_idx"):
+        return {**header, key: header[key] + [len(header["labels"]) + draw(st.integers(0, 5))]}
+    return {**header, key: draw(_wrong_values(header[key]))}
+
+
+@FUZZ
+@given(data=st.data(), name=st.sampled_from(sorted(READERS)))
+def test_truncated_file_exits_documented(chain, data, name):
+    original = chain[name]
+    # cutting a JSON document anywhere before its closing brace breaks it
+    limit = len(original) - (2 if name.endswith(".json") else 1)
+    cut = data.draw(st.integers(0, limit))
+    assert _run_on(chain, name, original[:cut]) in DOCUMENTED
+
+
+@FUZZ
+@given(data=st.data(), name=st.sampled_from(["dataset.bin", "encodings.bin"]))
+def test_mangled_header_exits_documented(chain, data, name):
+    line, payload = chain[name].split(b"\n", 1)
+    header = data.draw(mangled_headers(json.loads(line)))
+    assert _run_on(chain, name, json.dumps(header).encode() + b"\n" + payload) in DOCUMENTED
+
+
+@FUZZ
+@given(document=json_values)
+def test_mangled_classifier_exits_documented(chain, document):
+    assert _run_on(chain, "classifier.json", json.dumps(document).encode()) in DOCUMENTED
+
+
+@FUZZ
+@given(data=st.data(), name=st.sampled_from(sorted(READERS)))
+def test_corrupted_bytes_never_raise(chain, data, name):
+    original = bytearray(chain[name])
+    for _ in range(data.draw(st.integers(1, 4))):
+        original[data.draw(st.integers(0, len(original) - 1))] = data.draw(st.integers(0, 255))
+    assert _run_on(chain, name, bytes(original)) in {0} | DOCUMENTED

@@ -15,9 +15,7 @@ from skipstack.latent import (
     flip_band,
     load_model,
     new_model,
-    sample_alpha_path,
     sample_difference_matrix,
-    sample_mixing_pair,
     save_model,
 )
 from skipstack.streams import stream
@@ -80,62 +78,17 @@ class TestFlipBand:
             flip_band(gamma=1.0, tau=tau, c=0.0)
 
 
-class TestMixingPairs:
-    def test_values_are_signs(self):
-        model = new_model(k=2, d=4, gammas=[1.0, 2.0], c=0.2, sigma=0.0, seed=3)
-        rng = stream(3, 1)
-        for _ in range(200):
-            pair = sample_mixing_pair(model, 0, tau=0.8, rng=rng)
-            assert pair.alpha_t in (-1.0, 1.0)
-            assert pair.alpha_t_tau in (-1.0, 1.0)
-
-    def test_second_moment_oracle(self):
-        # E[(alpha' - alpha)^2] = 2 exp(-1) = 0.7357588823428847 when
-        # gamma = tau = 1 and c = 0; 10^6 pairs, tolerance ~2 sigma
-        model = new_model(k=1, d=1, gammas=[1.0], c=0.0, sigma=0.0, seed=11)
-        p = sample_difference_matrix(model, tau=1.0, n_cols=10**6, rng=stream(11, 0))
-        assert np.mean(p**2) == pytest.approx(0.7357588823428847, abs=0.003)
-
-    def test_static_limit_never_flips(self):
-        model = new_model(k=1, d=1, gammas=[1e6], c=0.0, sigma=0.0, seed=2)
-        rng = stream(2, 0)
-        pairs = [sample_mixing_pair(model, 0, tau=0.01, rng=rng) for _ in range(100)]
-        assert all(p.alpha_t_tau == p.alpha_t for p in pairs)
-
-    def test_bad_signal_index_rejected(self):
-        model = new_model(k=2, d=2, gammas=[1.0, 2.0], c=0.0, sigma=0.0, seed=1)
-        with pytest.raises(ValueError, match="signal_index"):
-            sample_mixing_pair(model, 2, tau=0.5, rng=stream(1))
-
-
 class TestAlphaPath:
-    def test_empty_times_give_empty_path(self):
-        model = new_model(k=1, d=1, gammas=[1.0], c=0.0, sigma=0.0, seed=1)
-        assert sample_alpha_path(model, 0, [], tau=0.5, rng=stream(1)) == []
-
     def test_flip_rate_oracle(self):
         # flip probability exp(-2)/2 = 0.06767 at gamma=1, tau=0.5, c=0
         model = new_model(k=1, d=1, gammas=[1.0], c=0.0, sigma=0.0, seed=9)
-        times = np.linspace(0.0, 0.5, 5000)
-        pairs = sample_alpha_path(model, 0, times, tau=0.5, rng=stream(9, 4))
-        rate = np.mean([p.alpha_t_tau != p.alpha_t for p in pairs])
-        assert rate == pytest.approx(math.exp(-2.0) / 2, abs=0.01)
+        p = sample_difference_matrix(model, tau=0.5, n_cols=5000, rng=stream(9, 4))
+        assert np.mean(p != 0) == pytest.approx(math.exp(-2.0) / 2, abs=0.01)
 
     def test_static_path_never_flips(self):
         model = new_model(k=1, d=1, gammas=[1e9], c=0.0, sigma=0.0, seed=4)
-        times = np.linspace(0.0, 0.9, 100)
-        pairs = sample_alpha_path(model, 0, times, tau=0.1, rng=stream(4))
-        assert all(p.alpha_t_tau == p.alpha_t for p in pairs)
-
-    def test_non_increasing_times_rejected(self):
-        model = new_model(k=1, d=1, gammas=[1.0], c=0.0, sigma=0.0, seed=1)
-        with pytest.raises(ValueError, match="strictly increasing"):
-            sample_alpha_path(model, 0, [0.1, 0.1, 0.2], tau=0.1, rng=stream(1))
-
-    def test_time_past_duration_rejected(self):
-        model = new_model(k=1, d=1, gammas=[1.0], c=0.0, sigma=0.0, seed=1)
-        with pytest.raises(ValueError, match="t \\+ tau"):
-            sample_alpha_path(model, 0, [0.0, 0.95], tau=0.1, rng=stream(1))
+        p = sample_difference_matrix(model, tau=0.1, n_cols=100, rng=stream(4))
+        assert not p.any()
 
 
 class TestDifferenceMatrix:
@@ -184,6 +137,13 @@ class TestDifferenceMatrix:
         for i in range(3):
             for j in range(i + 1, 3):
                 assert abs(np.mean(p[i] * p[j])) < 4 * 4 / math.sqrt(n)
+
+    def test_second_moment_oracle(self):
+        # E[(alpha' - alpha)^2] = 2 exp(-1) = 0.7357588823428847 when
+        # gamma = tau = 1 and c = 0; 10^6 pairs, tolerance ~2 sigma
+        model = new_model(k=1, d=1, gammas=[1.0], c=0.0, sigma=0.0, seed=11)
+        p = sample_difference_matrix(model, tau=1.0, n_cols=10**6, rng=stream(11, 0))
+        assert np.mean(p**2) == pytest.approx(0.7357588823428847, abs=0.003)
 
     def test_determinism(self):
         model = new_model(k=2, d=4, gammas=[1.0, 3.0], c=0.1, sigma=0.0, seed=31)

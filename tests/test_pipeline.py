@@ -1,13 +1,14 @@
 """Smoke and determinism tests for the end-to-end recognition runner."""
 
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
-from skipstack.dataset import DatasetConfig, generate_dataset
-from skipstack.encoder import CodecConfig
+from skipstack.config import ExperimentConfig
+from skipstack.dataset import generate_dataset
 from skipstack.features import parse_schedule_label
 from skipstack.pipeline import (
-    RecognitionConfig,
     mifs_schedule,
     recognition_grid,
     run_schedule,
@@ -15,23 +16,24 @@ from skipstack.pipeline import (
 )
 
 
+def tiny_config(**overrides):
+    fields = dict(
+        n_classes=3,
+        speeds=(1, 2),
+        samples_per_cell=4,
+        frames=48,
+        channels=2,
+        noise_sigma=0.1,
+        seed=0,
+        gmm_components=4,
+        levels=1,
+    )
+    return ExperimentConfig(**{**fields, **overrides})
+
+
 @pytest.fixture(scope="module")
 def tiny_dataset():
-    return generate_dataset(
-        DatasetConfig(
-            n_classes=3,
-            speeds=(1, 2),
-            samples_per_cell=4,
-            frames=48,
-            channels=2,
-            noise_sigma=0.1,
-            seed=0,
-        )
-    )
-
-
-def tiny_config():
-    return RecognitionConfig(codec=CodecConfig(k_components=4))
+    return generate_dataset(tiny_config())
 
 
 class TestSchedules:
@@ -48,7 +50,7 @@ class TestSchedules:
 
 class TestRunSchedule:
     def test_report_shape_and_cost(self, tiny_dataset):
-        run = run_schedule(tiny_dataset, mifs_schedule(48, 1), tiny_config(), seed=0)
+        run = run_schedule(tiny_dataset, mifs_schedule(48, 1), tiny_config())
         assert run.label == "L=1"
         assert 0.0 <= run.report.macc <= 100.0
         assert 0.0 <= run.report.mean_ap <= 100.0
@@ -56,13 +58,13 @@ class TestRunSchedule:
 
     def test_masked_schedule_runs_and_reports_reduced_cost(self, tiny_dataset):
         schedule = parse_schedule_label("L=1-0", 1.0 / 48)
-        run = run_schedule(tiny_dataset, schedule, tiny_config(), seed=0)
+        run = run_schedule(tiny_dataset, schedule, tiny_config())
         assert run.label == "L=1-0"
         assert run.cost_total == pytest.approx(0.5)
 
     def test_deterministic_given_seed(self, tiny_dataset):
-        a = run_schedule(tiny_dataset, mifs_schedule(48, 1), tiny_config(), seed=3)
-        b = run_schedule(tiny_dataset, mifs_schedule(48, 1), tiny_config(), seed=3)
+        a = run_schedule(tiny_dataset, mifs_schedule(48, 1), tiny_config(seed=3))
+        b = run_schedule(tiny_dataset, mifs_schedule(48, 1), tiny_config(seed=3))
         assert a.report.macc == b.report.macc
         assert a.report.mean_ap == b.report.mean_ap
         assert np.array_equal(a.report.confusion, b.report.confusion)
@@ -70,11 +72,25 @@ class TestRunSchedule:
 
 class TestGrid:
     def test_grid_covers_singles_and_stacks(self, tiny_dataset):
-        runs = recognition_grid(tiny_dataset, 1, tiny_config(), seed=0)
+        runs = recognition_grid(tiny_dataset, tiny_config())
         assert list(runs) == ["L=0", "L=1-0", "L=1"]
         for run in runs.values():
             assert 0.0 <= run.report.macc <= 100.0
 
     def test_easy_dataset_is_learnable(self, tiny_dataset):
-        runs = recognition_grid(tiny_dataset, 1, tiny_config(), seed=0)
+        runs = recognition_grid(tiny_dataset, tiny_config())
         assert runs["L=1"].report.macc >= 75.0
+
+    def test_mask_naming_a_grid_schedule_adds_nothing(self, tiny_dataset):
+        # levels 1 without level 0 is the grid's own "L=1-0"
+        runs = recognition_grid(tiny_dataset, tiny_config(exclude=(0,)))
+        assert list(runs) == ["L=0", "L=1-0", "L=1"]
+
+    def test_pool_map_gives_the_serial_results(self, tiny_dataset):
+        serial = recognition_grid(tiny_dataset, tiny_config())
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            pooled = recognition_grid(tiny_dataset, tiny_config(), pool.map)
+        assert list(pooled) == list(serial)
+        for label, run in serial.items():
+            assert pooled[label].report.macc == run.report.macc
+            assert np.array_equal(pooled[label].report.confusion, run.report.confusion)
