@@ -12,6 +12,13 @@ minimizer at a breakpoint. Every coordinate step solves its subproblem
 exactly, so the objective never increases and the per-epoch trace is
 monotone by construction rather than by tuning.
 
+The binary problems of one call (every class, and in ``svm_train_many``
+every training set, such as all schedules of a recognition grid or every
+C of a cross-validation fold) are stepped together: each coordinate step
+is one array step with a row per problem. Each problem keeps the exact
+arithmetic of a lone run (its own coordinate order, matvec, bias step,
+objective and convergence test), so batching changes no bit of a model.
+
 Prediction takes the argmax of the per-class raw scores with the lowest
 class index breaking ties. Evaluation reports mean per-class accuracy and
 mean average precision of the per-class score rankings.
@@ -48,31 +55,60 @@ def _objective(w: np.ndarray, margins: np.ndarray, c: float) -> float:
     return 0.5 * float(w @ w) + c * float(np.sum(np.maximum(0.0, 1.0 - margins)))
 
 
-def _exact_weight_step(w_j: float, coef: np.ndarray, r: np.ndarray, c: float) -> float:
-    """Exact minimizer over delta of (1/2)(w_j + delta)^2 + C sum max(0, r - delta*coef)."""
+def _weight_steps(
+    w_j: np.ndarray, coef: np.ndarray, r: np.ndarray, c: np.ndarray, s_first: np.ndarray
+) -> np.ndarray:
+    """Per row p, the exact minimizer over delta of
+    (1/2)(w_j[p] + delta)^2 + c[p] sum_i max(0, r[p, i] - delta*coef[p, i]).
+
+    A zero coefficient pads its row: its breakpoint is +inf and it drops
+    nothing, so rows with different numbers of breakpoints step as one
+    array. ``s_first`` is each row's sum of positive coefficients, summed
+    over the compressed nonzero vector so its bits match a lone problem.
+    """
+    rows, n = coef.shape
     nz = coef != 0.0
-    if not nz.any():
-        return -w_j
-    coef = coef[nz]
-    breaks = r[nz] / coef
-    order = np.argsort(breaks, kind="stable")
-    breaks = breaks[order]
-    drop = np.abs(coef[order])
+    real_count = nz.sum(axis=1)
+    raw = np.divide(r, coef, out=np.full((rows, n), np.inf), where=nz)
+    # flat indices of each row's ascending breakpoints
+    order = raw.argsort(axis=1)
+    order += np.arange(0, rows * n, n)[:, None]
+    # segment ends: -inf, the breakpoints, +inf
+    ends = np.empty((rows, n + 2))
+    ends[:, 0] = -np.inf
+    ends[:, -1] = np.inf
+    breaks = ends[:, 1:-1]
+    raw.take(order, out=breaks)
+    # tied breakpoints drop in index order, as a stable sort would put them;
+    # only then does the order of equal keys change the sums below. Equal
+    # neighbours anywhere in the flat ends (padding included) mark a
+    # candidate row cheaply; the row test then counts real breakpoints only.
+    flat = ends.ravel()
+    if (flat[1:] == flat[:-1]).any():
+        tie = (breaks[:, 1:] == breaks[:, :-1]) & (np.arange(1, n) < real_count[:, None])
+        tied = tie.any(axis=1).nonzero()[0]
+        order[tied] = raw[tied].argsort(axis=1, kind="stable") + (tied * n)[:, None]
+        breaks[tied] = raw.take(order[tied])
     # sum of active coefficients left of every breakpoint, then after each
-    s_levels = np.empty(breaks.size + 1)
-    s_levels[0] = coef[coef > 0].sum()
-    np.subtract(s_levels[0], np.cumsum(drop), out=s_levels[1:])
-    # zero of the linear derivative on each open segment
-    candidates = c * s_levels - w_j
-    lower = np.concatenate(([-np.inf], breaks))
-    upper = np.concatenate((breaks, [np.inf]))
-    valid = (candidates >= lower) & (candidates <= upper)
-    if valid.any():
-        return float(candidates[np.argmax(valid)])
-    # derivative jumps across zero at a breakpoint
-    right_slope = w_j + breaks - c * s_levels[1:]
-    hit = right_slope >= 0.0
-    return float(breaks[np.argmax(hit)]) if hit.any() else float(breaks[-1])
+    s_levels = np.empty((rows, n + 1))
+    s_levels[:, 0] = s_first
+    np.subtract(s_first[:, None], np.abs(coef).take(order).cumsum(axis=1), out=s_levels[:, 1:])
+    # zero of the linear derivative on each open segment; a padded segment
+    # has lower end +inf and is never valid
+    scaled = c[:, None] * s_levels
+    candidates = scaled - w_j[:, None]
+    valid = (candidates >= ends[:, :-1]) & (candidates <= ends[:, 1:])
+    # derivative jumps across zero at a breakpoint; a padded one always
+    # hits, so a first hit there means no real breakpoint did
+    hit = w_j[:, None] + breaks - scaled[:, 1:] >= 0.0
+    at = np.arange(rows)
+    first_hit = hit.argmax(axis=1)
+    real_hit = hit[at, first_hit] & (first_hit < real_count)
+    kink = breaks[at, np.where(real_hit, first_hit, real_count - 1)]
+    first_valid = valid.argmax(axis=1)
+    delta = np.where(valid[at, first_valid], candidates[at, first_valid], kink)
+    # an all-zero column leaves only the quadratic term
+    return np.where(real_count == 0, -w_j, delta)
 
 
 def _exact_bias_step(y: np.ndarray, r: np.ndarray, c: float) -> float:
@@ -88,51 +124,82 @@ def _exact_bias_step(y: np.ndarray, r: np.ndarray, c: float) -> float:
     return float(breaks[np.argmax(hit)]) if hit.any() else float(breaks[-1])
 
 
-def _train_binary(
-    x: np.ndarray,
-    y: np.ndarray,
-    c: float,
+def _descend(
+    xs: list[np.ndarray],
+    source: np.ndarray,
+    ys: np.ndarray,
+    cs: list[float],
+    seeds: list,
     epochs: int,
     tol: float,
-    seed,
-) -> LinearModel:
-    n, dim = x.shape
-    w = np.zeros(dim)
-    b = 0.0
-    margins = np.zeros(n)  # y * (x @ w + b), maintained incrementally
-    rng = stream(seed) if not isinstance(seed, np.random.Generator) else seed
-    trace = []
-    prev = _objective(w, margins, c)
-    trace.append(prev)
-    epochs_run = 0
+) -> list[LinearModel]:
+    """Exact cyclic coordinate descent on P binary problems of one shape at once.
+
+    Problem p trains on ``xs[source[p]]`` with labels ``ys[p]`` (+-1) and
+    cost ``cs[p]``. It draws its coordinate order per epoch from
+    ``stream(seeds[p])``, and keeps its own matvec, bias step, objective
+    and convergence test, after which it leaves the active set; only the
+    weight steps are taken together, one row per active problem.
+    """
+    n, dim = xs[0].shape
+    count = len(seeds)
+    xts = np.stack([x.T for x in xs])
+    # row s * dim + j is column j of source s, contiguous
+    columns = xts.reshape(-1, n)
+    c_all = np.asarray(cs, dtype=float)
+    # per problem and column, the sum of positive coefficients as one vector sum
+    s_first = np.array(
+        [[col[col > 0].sum() for col in ys[p] * xts[source[p]]] for p in range(count)]
+    ).reshape(count, dim)
+    w = np.zeros((count, dim))
+    b = np.zeros(count)
+    rngs = [stream(seed) for seed in seeds]
+    traces = [[_objective(w[p], np.zeros(n), cs[p])] for p in range(count)]
+    active = list(range(count))
     for _ in range(epochs):
-        epochs_run += 1
-        # kill incremental drift once per epoch
-        margins = y * (x @ w + b)
-        for j in rng.permutation(dim):
-            coef = y * x[:, j]
-            delta = _exact_weight_step(w[j], coef, 1.0 - margins, c)
-            if delta != 0.0:
-                w[j] += delta
-                margins = margins + delta * coef
-        delta = _exact_bias_step(y, 1.0 - margins, c)
-        if delta != 0.0:
-            b += delta
-            margins = margins + delta * y
-        current = _objective(w, margins, c)
-        trace.append(current)
-        if abs(prev - current) <= tol * max(1.0, abs(prev)):
-            prev = current
+        if not active:
             break
-        prev = current
-    return LinearModel(
-        w=w,
-        b=b,
-        c=c,
-        epochs_run=epochs_run,
-        objective=prev,
-        objective_trace=np.asarray(trace),
-    )
+        at = np.asarray(active)
+        y, c, w_at, s_at = ys[at], c_all[at], w[at], s_first[at]
+        # kill incremental drift once per epoch
+        margins = np.stack([ys[p] * (xs[source[p]] @ w[p] + b[p]) for p in active])
+        perms = np.stack([rngs[p].permutation(dim) for p in active])
+        # step t visits, per problem, flat index cell[t] of w_at and row column[t] of columns
+        cell = (perms + np.arange(0, at.size * dim, dim)[:, None]).T.copy()
+        column = (perms + (source[at] * dim)[:, None]).T.copy()
+        for t in range(dim):
+            coef = y * columns.take(column[t], axis=0)
+            w_j = w_at.take(cell[t])
+            delta = _weight_steps(w_j, coef, 1.0 - margins, c, s_at.take(cell[t]))
+            # unconditional updates: a zero delta keeps w_j (no weight is ever
+            # -0.0) and flips at most the sign of a zero margin, which only
+            # ever enters as 1 - margin or as the base of an update
+            w_at.put(cell[t], w_j + delta)
+            margins = margins + delta[:, None] * coef
+        w[at] = w_at
+        still = []
+        for row, p in enumerate(active):
+            delta = _exact_bias_step(ys[p], 1.0 - margins[row], cs[p])
+            if delta != 0.0:
+                b[p] += delta
+                margins[row] = margins[row] + delta * ys[p]
+            prev = traces[p][-1]
+            current = _objective(w[p], margins[row], cs[p])
+            traces[p].append(current)
+            if abs(prev - current) > tol * max(1.0, abs(prev)):
+                still.append(p)
+        active = still
+    return [
+        LinearModel(
+            w=w[p].copy(),
+            b=float(b[p]),
+            c=cs[p],
+            epochs_run=len(traces[p]) - 1,
+            objective=traces[p][-1],
+            objective_trace=np.asarray(traces[p]),
+        )
+        for p in range(count)
+    ]
 
 
 @dataclass
@@ -154,21 +221,43 @@ def svm_train(
     seed=0,
 ) -> OneVsAllClassifier:
     """Train one binary hinge model per class (one-vs-all)."""
-    x = np.asarray(x, dtype=float)
-    labels = np.asarray(labels)
-    if not np.isfinite(x).all():
+    return svm_train_many([x], [(0, labels, c, seed)], epochs, tol)[0]
+
+
+def svm_train_many(
+    xs, jobs, epochs: int = SVM_EPOCHS, tol: float = SVM_TOL
+) -> list[OneVsAllClassifier]:
+    """One one-vs-all classifier per job ``(source, labels, c, seed)``,
+    trained on the features ``xs[source]``; all of ``xs`` share one shape.
+
+    The binary problems of every job are stepped together, and each
+    classifier equals ``svm_train(xs[source], labels, c, epochs, tol, seed)``.
+    """
+    xs = [np.asarray(x, dtype=float) for x in xs]
+    if any(not np.isfinite(x).all() for x in xs):
         raise ValueError("features must be finite")
-    if c <= 0:
-        raise ValueError(f"C must be positive, got {c}")
-    classes = np.unique(labels)
-    if classes.size < 2:
-        raise ValueError("need at least 2 classes to train")
-    base = seed if isinstance(seed, tuple) else (seed,)
-    models = [
-        _train_binary(x, np.where(labels == cls, 1.0, -1.0), c, epochs, tol, (*base, idx))
-        for idx, cls in enumerate(classes)
+    if any(x.shape != xs[0].shape for x in xs):
+        raise ValueError("feature matrices of one call must share one shape")
+    source, ys, cs, seeds, spans = [], [], [], [], []
+    for index, labels, c, seed in jobs:
+        labels = np.asarray(labels)
+        if c <= 0:
+            raise ValueError(f"C must be positive, got {c}")
+        classes = np.unique(labels)
+        if classes.size < 2:
+            raise ValueError("need at least 2 classes to train")
+        base = seed if isinstance(seed, tuple) else (seed,)
+        spans.append((classes, len(seeds)))
+        for idx, cls in enumerate(classes):
+            source.append(index)
+            ys.append(np.where(labels == cls, 1.0, -1.0))
+            cs.append(c)
+            seeds.append((*base, idx))
+    models = _descend(xs, np.asarray(source), np.asarray(ys), cs, seeds, epochs, tol)
+    return [
+        OneVsAllClassifier(classes=classes, models=models[first : first + classes.size])
+        for classes, first in spans
     ]
-    return OneVsAllClassifier(classes=classes, models=models)
 
 
 def _scores(clf: OneVsAllClassifier, x: np.ndarray) -> np.ndarray:
@@ -177,7 +266,10 @@ def _scores(clf: OneVsAllClassifier, x: np.ndarray) -> np.ndarray:
         raise ValueError(f"feature dimension {x.shape[1]} does not match model {clf.dim}")
     weights = np.stack([m.w for m in clf.models])
     biases = np.array([m.b for m in clf.models])
-    return x @ weights.T + biases
+    scores = x @ weights.T + biases
+    if not np.isfinite(scores).all():
+        raise ValueError("scores are not finite: features and model weights must be finite")
+    return scores
 
 
 def predict(clf: OneVsAllClassifier, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -272,18 +364,20 @@ def svm_train_cv(
         members = np.flatnonzero(labels == cls)
         members = members[rng.permutation(members.size)]
         fold_of[members] = np.arange(members.size) % folds
-    best_c, best_score = None, -1.0
-    for c in c_grid:
-        fold_scores = []
-        for fold in range(folds):
-            train, val = fold_of != fold, fold_of == fold
-            if np.unique(labels[train]).size < 2 or not val.any():
-                continue
-            clf = svm_train(x[train], labels[train], c, seed=(*base, fold))
+    fold_scores = [[] for _ in c_grid]
+    for fold in range(folds):
+        train, val = fold_of != fold, fold_of == fold
+        if np.unique(labels[train]).size < 2 or not val.any():
+            continue
+        # the fold's whole C grid in one solver call
+        jobs = [(0, labels[train], c, (*base, fold)) for c in c_grid]
+        for scores, clf in zip(fold_scores, svm_train_many([x[train]], jobs)):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                fold_scores.append(evaluate(clf, x[val], labels[val]).macc)
-        score = float(np.mean(fold_scores)) if fold_scores else 0.0
+                scores.append(evaluate(clf, x[val], labels[val]).macc)
+    best_c, best_score = None, -1.0
+    for c, scores in zip(c_grid, fold_scores):
+        score = float(np.mean(scores)) if scores else 0.0
         if score > best_score:
             best_c, best_score = c, score
     clf = svm_train(x, labels, best_c, seed=seed)

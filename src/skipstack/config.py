@@ -81,6 +81,12 @@ class ExperimentConfig:
             (self.seed >= 0, f"seed must be >= 0, got {self.seed}"),
             (self.base_tau >= 0, f"base_tau must be >= 0, got {self.base_tau}"),
             (0 <= self.levels <= 5, f"levels must lie in [0, 5], got {self.levels}"),
+            (
+                all(0 <= level <= self.levels for level in self.exclude),
+                f"exclude entries must lie in [0, levels={self.levels}], got {list(self.exclude)}",
+            ),
+            (len(set(self.exclude)) == len(self.exclude), "exclude entries must not repeat"),
+            (len(set(self.exclude)) <= self.levels, "exclude must keep at least one level"),
             (self.window >= 1, f"window must be >= 1, got {self.window}"),
             (self.pca_components >= 0, f"pca_components must be >= 0, got {self.pca_components}"),
             (self.gmm_components >= 1, f"gmm_components must be >= 1, got {self.gmm_components}"),

@@ -2,7 +2,10 @@
 
 The grid runner reproduces the level-comparison experiment shape: each
 single level on its own versus the stacked schedules, all sharing one
-dataset and seed so the comparison is paired.
+dataset and seed so the comparison is paired. A run has three stages:
+extract and encode each schedule (the only stage an executor's ``map``
+spreads), train the one-vs-all classifiers of every schedule in one
+batched solver call, then evaluate each schedule.
 """
 
 from __future__ import annotations
@@ -10,7 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import repeat
 
-from .classify import EvalReport, evaluate, svm_train
+import numpy as np
+
+from .classify import EvalReport, evaluate, svm_train_many
 from .config import ExperimentConfig, schedule_of
 from .dataset import SyntheticActionDataset
 from .encoder import encode_dataset, fit_codec
@@ -49,6 +54,49 @@ def extract_all(
     ]
 
 
+def _encode(
+    dataset: SyntheticActionDataset,
+    schedule: SkipSchedule,
+    config: ExperimentConfig,
+    salt: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Train and test encodings, the codec fit on the training split only."""
+    descriptors = extract_all(dataset, schedule, config.window)
+    train_descs = [descriptors[i] for i in dataset.train_idx]
+    test_descs = [descriptors[i] for i in dataset.test_idx]
+    codec = fit_codec(train_descs, config, rng=stream(config.seed, 2, salt))
+    x_train, _ = encode_dataset(codec, train_descs)
+    x_test, _ = encode_dataset(codec, test_descs)
+    return x_train, x_test
+
+
+def _run(
+    dataset: SyntheticActionDataset,
+    schedules: list[SkipSchedule],
+    config: ExperimentConfig,
+    salts,
+    map=map,
+) -> list[RecognitionRun]:
+    """Schedule i runs with salt ``salts[i]``, so its result does not
+    depend on which other schedules share the call."""
+    encoded = list(map(_encode, repeat(dataset), schedules, repeat(config), salts))
+    classifiers = svm_train_many(
+        [x_train for x_train, _ in encoded],
+        [
+            (i, dataset.labels[dataset.train_idx], config.svm_c, (config.seed, 3, salt))
+            for i, salt in enumerate(salts)
+        ],
+    )
+    return [
+        RecognitionRun(
+            label=schedule.label,
+            report=evaluate(classifier, x_test, dataset.labels[dataset.test_idx]),
+            cost_total=level_cost_report(schedule).total_relative,
+        )
+        for schedule, classifier, (_, x_test) in zip(schedules, classifiers, encoded)
+    ]
+
+
 def run_schedule(
     dataset: SyntheticActionDataset,
     schedule: SkipSchedule,
@@ -56,24 +104,7 @@ def run_schedule(
     salt: int = 0,
 ) -> RecognitionRun:
     """One full pass: codec fit on the training split only, report on test."""
-    descriptors = extract_all(dataset, schedule, config.window)
-    train_descs = [descriptors[i] for i in dataset.train_idx]
-    test_descs = [descriptors[i] for i in dataset.test_idx]
-    codec = fit_codec(train_descs, config, rng=stream(config.seed, 2, salt))
-    x_train, _ = encode_dataset(codec, train_descs)
-    x_test, _ = encode_dataset(codec, test_descs)
-    classifier = svm_train(
-        x_train,
-        dataset.labels[dataset.train_idx],
-        c=config.svm_c,
-        seed=(config.seed, 3, salt),
-    )
-    report = evaluate(classifier, x_test, dataset.labels[dataset.test_idx])
-    return RecognitionRun(
-        label=schedule.label,
-        report=report,
-        cost_total=level_cost_report(schedule).total_relative,
-    )
+    return _run(dataset, [schedule], config, [salt])[0]
 
 
 def grid_schedules(frames: int, max_level: int) -> list[SkipSchedule]:
@@ -88,11 +119,12 @@ def recognition_grid(
 ) -> dict[str, RecognitionRun]:
     """One run per grid schedule up to ``config.levels`` plus the config's
     masked schedule if new, keyed by label. Schedule i runs with salt i, so
-    an executor's ``map`` may run them concurrently without changing a result."""
+    an executor's ``map`` may extract and encode them concurrently without
+    changing a result."""
     schedules = grid_schedules(dataset.frames, config.levels)
     if config.exclude:
         masked = schedule_of(config, dataset.frames)
         if masked.label not in {schedule.label for schedule in schedules}:
             schedules.append(masked)
-    runs = map(run_schedule, repeat(dataset), schedules, repeat(config), range(len(schedules)))
+    runs = _run(dataset, schedules, config, range(len(schedules)), map)
     return {run.label: run for run in runs}

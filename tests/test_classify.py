@@ -4,16 +4,22 @@ import numpy as np
 import pytest
 
 from skipstack.classify import (
+    SVM_EPOCHS,
+    SVM_TOL,
     OneVsAllClassifier,
     LinearModel,
     _average_precision,
+    _objective,
+    _weight_steps,
     evaluate,
     load_classifier,
     predict,
     save_classifier,
     svm_train,
     svm_train_cv,
+    svm_train_many,
 )
+from skipstack.streams import stream
 
 
 def blobs(seed=0, n=40, gap=4.0):
@@ -24,6 +30,195 @@ def blobs(seed=0, n=40, gap=4.0):
     x = np.vstack([a, b])
     y = np.array([0] * n + [1] * n)
     return x, y
+
+
+# --- reference: the one-problem solver that the batched kernel replaced ------
+# Kept verbatim as the oracle: the batched kernel must reproduce its bits.
+
+
+def _exact_weight_step(w_j: float, coef: np.ndarray, r: np.ndarray, c: float) -> float:
+    """Exact minimizer over delta of (1/2)(w_j + delta)^2 + C sum max(0, r - delta*coef)."""
+    nz = coef != 0.0
+    if not nz.any():
+        return -w_j
+    coef = coef[nz]
+    breaks = r[nz] / coef
+    order = np.argsort(breaks, kind="stable")
+    breaks = breaks[order]
+    drop = np.abs(coef[order])
+    # sum of active coefficients left of every breakpoint, then after each
+    s_levels = np.empty(breaks.size + 1)
+    s_levels[0] = coef[coef > 0].sum()
+    np.subtract(s_levels[0], np.cumsum(drop), out=s_levels[1:])
+    # zero of the linear derivative on each open segment
+    candidates = c * s_levels - w_j
+    lower = np.concatenate(([-np.inf], breaks))
+    upper = np.concatenate((breaks, [np.inf]))
+    valid = (candidates >= lower) & (candidates <= upper)
+    if valid.any():
+        return float(candidates[np.argmax(valid)])
+    # derivative jumps across zero at a breakpoint
+    right_slope = w_j + breaks - c * s_levels[1:]
+    hit = right_slope >= 0.0
+    return float(breaks[np.argmax(hit)]) if hit.any() else float(breaks[-1])
+
+
+def _exact_bias_step(y: np.ndarray, r: np.ndarray, c: float) -> float:
+    """Exact minimizer over delta of sum max(0, r - delta*y): piecewise linear."""
+    breaks = r / y
+    order = np.argsort(breaks, kind="stable")
+    breaks = breaks[order]
+    s_levels = np.empty(breaks.size + 1)
+    s_levels[0] = np.sum(y > 0)
+    np.subtract(s_levels[0], np.cumsum(np.abs(y[order])), out=s_levels[1:])
+    # derivative right of breakpoint k is -C * s_levels[k+1]
+    hit = -c * s_levels[1:] >= 0.0
+    return float(breaks[np.argmax(hit)]) if hit.any() else float(breaks[-1])
+
+
+def _train_binary(
+    x: np.ndarray,
+    y: np.ndarray,
+    c: float,
+    epochs: int,
+    tol: float,
+    seed,
+) -> LinearModel:
+    n, dim = x.shape
+    w = np.zeros(dim)
+    b = 0.0
+    margins = np.zeros(n)  # y * (x @ w + b), maintained incrementally
+    rng = stream(seed) if not isinstance(seed, np.random.Generator) else seed
+    trace = []
+    prev = _objective(w, margins, c)
+    trace.append(prev)
+    epochs_run = 0
+    for _ in range(epochs):
+        epochs_run += 1
+        # kill incremental drift once per epoch
+        margins = y * (x @ w + b)
+        for j in rng.permutation(dim):
+            coef = y * x[:, j]
+            delta = _exact_weight_step(w[j], coef, 1.0 - margins, c)
+            if delta != 0.0:
+                w[j] += delta
+                margins = margins + delta * coef
+        delta = _exact_bias_step(y, 1.0 - margins, c)
+        if delta != 0.0:
+            b += delta
+            margins = margins + delta * y
+        current = _objective(w, margins, c)
+        trace.append(current)
+        if abs(prev - current) <= tol * max(1.0, abs(prev)):
+            prev = current
+            break
+        prev = current
+    return LinearModel(
+        w=w,
+        b=b,
+        c=c,
+        epochs_run=epochs_run,
+        objective=prev,
+        objective_trace=np.asarray(trace),
+    )
+
+
+def reference_models(x, labels, c, seed, epochs=SVM_EPOCHS, tol=SVM_TOL):
+    """The one-vs-all models as svm_train built them, one class at a time."""
+    x, labels = np.asarray(x, dtype=float), np.asarray(labels)
+    base = seed if isinstance(seed, tuple) else (seed,)
+    return [
+        _train_binary(x, np.where(labels == cls, 1.0, -1.0), c, epochs, tol, (*base, idx))
+        for idx, cls in enumerate(np.unique(labels))
+    ]
+
+
+def assert_bit_identical(models, expected):
+    assert len(models) == len(expected)
+    for got, want in zip(models, expected):
+        assert got.w.tobytes() == want.w.tobytes()
+        assert np.float64(got.b).tobytes() == np.float64(want.b).tobytes()
+        assert got.c == want.c
+        assert got.epochs_run == want.epochs_run
+        assert np.float64(got.objective).tobytes() == np.float64(want.objective).tobytes()
+        assert got.objective_trace.tobytes() == want.objective_trace.tobytes()
+
+
+def sparse_features(seed=20, n=30, dim=6):
+    """Three classes with many exact zeros and one all-zero column."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, dim))
+    x[rng.random(x.shape) < 0.4] = 0.0
+    x[:, 2] = 0.0
+    return x, np.arange(n) % 3
+
+
+def duplicated_rows(seed=21, n=32, dim=5):
+    """Every sample twice, on a coarse grid: tied hinge breakpoints."""
+    rng = np.random.default_rng(seed)
+    half = np.round(rng.normal(size=(n // 2, dim)), 1)
+    return np.repeat(half, 2, axis=0), np.repeat(np.arange(n // 2) % 2, 2)
+
+
+class TestReferenceOracle:
+    @pytest.mark.parametrize("c", [1e-3, 1.0, 100.0])
+    @pytest.mark.parametrize("make", [blobs, sparse_features, duplicated_rows])
+    def test_models_match_the_one_problem_solver(self, make, c):
+        x, y = make()
+        clf = svm_train(x, y, c=c, seed=(4, 2))
+        assert_bit_identical(clf.models, reference_models(x, y, c, (4, 2)))
+
+    def test_weight_steps_match_the_one_problem_step(self):
+        # edge cases: exact zeros, all-zero columns, tied breakpoints, points on the margin
+        rng = np.random.default_rng(22)
+        rows, n = 3000, 12
+        coef = np.round(rng.normal(size=(rows, n)), 1)
+        coef[rng.random((rows, n)) < 0.3] = 0.0
+        coef[::50] = 0.0
+        r = np.round(rng.normal(size=(rows, n)), 1)
+        r[rng.random((rows, n)) < 0.2] = 0.0
+        w_j = np.round(rng.normal(size=rows), 1)
+        w_j[::7] = 0.0
+        c = rng.choice([1e-3, 1.0, 100.0], size=rows)
+        s_first = np.array([row[row > 0].sum() for row in coef])
+        got = _weight_steps(w_j, coef, r, c, s_first)
+        want = [_exact_weight_step(w_j[i], coef[i], r[i], c[i]) for i in range(rows)]
+        assert got.tobytes() == np.array(want).tobytes()
+
+    def mixed_jobs(self):
+        # one shape, problems that converge after very different epoch counts
+        rng = np.random.default_rng(23)
+        separable, y_sep = blobs(seed=24, n=20)
+        overlapping = rng.normal(size=(40, 2))
+        y_noise = rng.integers(0, 3, size=40)
+        xs = [separable, overlapping]
+        jobs = [
+            (0, y_sep, 1e-3, 1),
+            (1, y_noise, 100.0, 2),
+            (0, y_sep, 100.0, (3, 1)),
+            (1, y_noise, 1.0, 4),
+        ]
+        return xs, jobs
+
+    def test_mixed_batch_matches_the_one_problem_solver(self):
+        xs, jobs = self.mixed_jobs()
+        classifiers = svm_train_many(xs, jobs)
+        epochs = []
+        for (source, labels, c, seed), clf in zip(jobs, classifiers):
+            assert np.array_equal(clf.classes, np.unique(labels))
+            assert_bit_identical(clf.models, reference_models(xs[source], labels, c, seed))
+            epochs.extend(m.epochs_run for m in clf.models)
+        assert max(epochs) >= 5 * min(epochs)
+
+    def test_a_problem_alone_equals_it_inside_a_batch(self):
+        xs, jobs = self.mixed_jobs()
+        for (source, labels, c, seed), clf in zip(jobs, svm_train_many(xs, jobs)):
+            alone = svm_train(xs[source], labels, c=c, seed=seed)
+            assert_bit_identical(clf.models, alone.models)
+
+    def test_batch_of_mixed_shapes_rejected(self):
+        with pytest.raises(ValueError, match="one shape"):
+            svm_train_many([np.eye(4), np.eye(5)], [(0, [0, 0, 1, 1], 1.0, 0)])
 
 
 class TestTraining:

@@ -244,6 +244,17 @@ class TestDataVerbs:
         assert run(cfg, out, "train") == 2
         assert "expected" in capsys.readouterr().err
 
+    def test_non_finite_encodings_exit_2_on_evaluate(self, chain, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "classifier.json").write_bytes((chain / "classifier.json").read_bytes())
+        line, payload = (chain / "encodings.bin").read_bytes().split(b"\n", 1)
+        nans = np.full(len(payload) // 4, np.nan, dtype="<f4").tobytes()
+        (out / "encodings.bin").write_bytes(line + b"\n" + nans)
+        assert run(write_config(tmp_path), out, "evaluate") == 2
+        assert "finite" in capsys.readouterr().err
+        assert not (out / "eval.json").exists()
+
     @pytest.mark.parametrize(
         "verb, name, mangle",
         [

@@ -72,6 +72,10 @@ class TestValidation:
             (dict(cv_folds=1), "cv_folds"),
             (dict(seed=-1), "seed"),
             (dict(speeds=(5,)), "speeds"),
+            (dict(levels=1, exclude=(7,)), "exclude"),
+            (dict(levels=1, exclude=(-1,)), "exclude"),
+            (dict(levels=1, exclude=(0, 0)), "exclude"),
+            (dict(levels=1, exclude=(0, 1)), "keep at least one level"),
         ],
     )
     def test_bad_values(self, fields, message):

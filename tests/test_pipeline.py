@@ -94,3 +94,13 @@ class TestGrid:
         for label, run in serial.items():
             assert pooled[label].report.macc == run.report.macc
             assert np.array_equal(pooled[label].report.confusion, run.report.confusion)
+
+    def test_a_schedule_alone_matches_its_grid_run(self, tiny_dataset):
+        # the grid trains every schedule in one batched solver call
+        runs = recognition_grid(tiny_dataset, tiny_config())
+        for salt, (label, run) in enumerate(runs.items()):
+            schedule = parse_schedule_label(label, 1.0 / 48)
+            alone = run_schedule(tiny_dataset, schedule, tiny_config(), salt=salt)
+            assert alone.report.macc == run.report.macc
+            assert alone.report.mean_ap == run.report.mean_ap
+            assert np.array_equal(alone.report.confusion, run.report.confusion)
