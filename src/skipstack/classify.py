@@ -98,13 +98,13 @@ def _weight_steps(
     scaled = c[:, None] * s_levels
     candidates = scaled - w_j[:, None]
     valid = (candidates >= ends[:, :-1]) & (candidates <= ends[:, 1:])
-    # derivative jumps across zero at a breakpoint; a padded one always
-    # hits, so a first hit there means no real breakpoint did
+    # derivative jumps across zero at a breakpoint. With finite values and no
+    # valid segment the last real breakpoint b hits, so the first hit is real:
+    # its segment's candidate fl(S - w) < b gives S - w < b, as rounding is
+    # monotone and b a float, so w + b > S and fl(fl(w + b) - S) >= 0.
     hit = w_j[:, None] + breaks - scaled[:, 1:] >= 0.0
     at = np.arange(rows)
-    first_hit = hit.argmax(axis=1)
-    real_hit = hit[at, first_hit] & (first_hit < real_count)
-    kink = breaks[at, np.where(real_hit, first_hit, real_count - 1)]
+    kink = breaks[at, hit.argmax(axis=1)]
     first_valid = valid.argmax(axis=1)
     delta = np.where(valid[at, first_valid], candidates[at, first_valid], kink)
     # an all-zero column leaves only the quadratic term

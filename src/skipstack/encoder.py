@@ -9,6 +9,11 @@ variance-gradient statistics. Power and L2 normalization follow.
 Descriptors from every skip level are pooled into one encoding per
 sample; the stacked representation differs from a single-skip one only in
 which descriptors enter the pool.
+
+EM, Fisher encoding and ``mean_log_likelihood`` share one E-step kernel,
+``_e_step``: it returns the mean log-likelihood and the posterior moments
+(mass, sum of x, sum of x^2 per component), of which the M-step and the
+Fisher-vector gradients are closed forms.
 """
 from __future__ import annotations
 
@@ -96,6 +101,10 @@ class GmmModel:
         self.weights = np.asarray(self.weights, dtype=float)
         self.means = np.asarray(self.means, dtype=float)
         self.variances = np.asarray(self.variances, dtype=float)
+        # NaN fails every comparison below, so it is rejected on its own
+        for name in ("weights", "means", "variances"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} must be finite")
         if abs(self.weights.sum() - 1.0) > 1e-10:
             raise ValueError("weights must sum to 1")
         if np.any(self.weights <= 0):
@@ -108,33 +117,55 @@ class GmmModel:
         return self.weights.size
 
 
-def _log_densities(gmm: GmmModel, data: np.ndarray) -> np.ndarray:
-    """N x K matrix of log(w_k N(x | mu_k, diag var_k))."""
+def _e_step(
+    gmm: GmmModel, data: np.ndarray, squares: np.ndarray
+) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    """E-step and posterior moments of ``data`` (N x D) under the mixture.
+
+    Returns the mean per-point log-likelihood and, per component, the
+    posterior mass sum_n gamma_n(k), the first moments sum_n gamma_n(k) x_n
+    and the second moments sum_n gamma_n(k) x_n^2 (K, K x D, K x D).
+    ``squares`` is ``data**2``, formed once per data set by the caller.
+
+    The log-densities are built component-major (K x N), so the per-point
+    max over components is a contiguous reduction. Every value keeps the
+    arithmetic of the point-major form: ``inv @ squares.T`` is the same
+    BLAS call as ``squares @ inv.T`` with its operands swapped (at K = 1
+    and N = 1 alike), the factor 2 of the cross term is exact on either
+    side of the product, and the row sums, the division and the moment
+    products run on the N x K posteriors.
+    """
+    k, n = gmm.k, data.shape[0]
+    # the K x N and N x K steps below run in place in one 2 * K * N buffer
+    work = np.empty(2 * k * n)
+    logd = work[: k * n].reshape(k, n)
+    cross = work[k * n :].reshape(k, n)
     inv = 1.0 / gmm.variances
-    # expand ||(x - mu)/sigma||^2 through matmul to avoid an N x K x D array
-    quad = (
-        (data**2) @ inv.T
-        - 2.0 * data @ (gmm.means * inv).T
-        + np.sum(gmm.means**2 * inv, axis=1)
-    )
+    # ||(x - mu)/sigma||^2 expanded through matmul to avoid a K x N x D array
+    np.matmul(inv, squares.T, out=logd)
+    np.matmul(2.0 * (gmm.means * inv), data.T, out=cross)
+    logd -= cross
+    logd += np.sum(gmm.means**2 * inv, axis=1)[:, None]
+    logd *= 0.5
     log_norm = -0.5 * (
         data.shape[1] * math.log(2.0 * math.pi) + np.sum(np.log(gmm.variances), axis=1)
     )
-    return np.log(gmm.weights) + log_norm - 0.5 * quad
-
-
-def _posteriors(gmm: GmmModel, data: np.ndarray) -> tuple[np.ndarray, float]:
-    """Soft assignments (rows sum to 1) and mean per-point log-likelihood."""
-    logd = _log_densities(gmm, data)
-    top = logd.max(axis=1, keepdims=True)
-    stable = np.exp(logd - top)
-    total = stable.sum(axis=1, keepdims=True)
+    np.subtract((np.log(gmm.weights) + log_norm)[:, None], logd, out=logd)
+    top = logd.max(axis=0)
+    logd -= top
+    np.exp(logd, out=logd)
+    # back to point-major for the soft assignments, in the cross buffer
+    post = cross.reshape(n, k)
+    np.copyto(post, logd.T)
+    total = post.sum(axis=1)
     mean_ll = float(np.mean(np.log(total) + top))
-    return stable / total, mean_ll
+    post /= total[:, None]
+    return mean_ll, post.sum(axis=0), post.T @ data, post.T @ squares
 
 
 def mean_log_likelihood(gmm: GmmModel, data: np.ndarray) -> float:
-    return _posteriors(gmm, np.asarray(data, dtype=float))[1]
+    data = np.asarray(data, dtype=float)
+    return _e_step(gmm, data, data**2)[0]
 
 
 def _seed_means(data: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -174,14 +205,14 @@ def gmm_fit(data: np.ndarray, k_components: int, rng=0) -> GmmModel:
         means=_seed_means(data, k_components, rng),
         variances=np.tile(data_var, (k_components, 1)),
     )
+    squares = data**2
     trace = []
     reseeds = np.zeros(k_components, dtype=int)
     for _ in range(EM_MAX_ITERS):
-        post, ll = _posteriors(gmm, data)
+        ll, mass, sum_x, sum_x2 = _e_step(gmm, data, squares)
         trace.append(ll)
         if len(trace) > 1 and abs(trace[-1] - trace[-2]) <= EM_TOL * abs(trace[-2]):
             break
-        mass = post.sum(axis=0)
         collapsed = np.flatnonzero(mass / n < WEIGHT_COLLAPSE)
         if collapsed.size:
             for comp in collapsed:
@@ -196,8 +227,8 @@ def gmm_fit(data: np.ndarray, k_components: int, rng=0) -> GmmModel:
             gmm.weights = np.full(k_components, 1.0 / k_components)
             continue
         weights = mass / n
-        means = (post.T @ data) / mass[:, None]
-        second = (post.T @ (data**2)) / mass[:, None]
+        means = sum_x / mass[:, None]
+        second = sum_x2 / mass[:, None]
         variances = np.maximum(second - means**2, floor)
         gmm = GmmModel(weights=weights, means=means, variances=variances)
     gmm.log_likelihood_trace = np.asarray(trace)
@@ -237,11 +268,8 @@ def fisher_vector(gmm: GmmModel, descriptors: np.ndarray) -> FisherEncoding:
             f"the mixture dimension {gmm.means.shape[1]}"
         )
     n = descriptors.shape[0]
-    post, _ = _posteriors(gmm, descriptors)
+    _, mass, sum_x, sum_x2 = _e_step(gmm, descriptors, descriptors**2)
     sigma = np.sqrt(gmm.variances)
-    mass = post.sum(axis=0)
-    sum_x = post.T @ descriptors
-    sum_x2 = post.T @ (descriptors**2)
     # sum_n gamma (x - mu)/sigma, expanded through the accumulated moments
     g_mu = (sum_x - mass[:, None] * gmm.means) / sigma
     g_mu /= n * np.sqrt(gmm.weights)[:, None]

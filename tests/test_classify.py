@@ -1,7 +1,11 @@
 """Tests for the one-vs-all hinge classifier and evaluation metrics."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from skipstack.classify import (
     SVM_EPOCHS,
@@ -20,6 +24,9 @@ from skipstack.classify import (
     svm_train_many,
 )
 from skipstack.streams import stream
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 
 def blobs(seed=0, n=40, gap=4.0):
@@ -180,10 +187,31 @@ class TestReferenceOracle:
         w_j = np.round(rng.normal(size=rows), 1)
         w_j[::7] = 0.0
         c = rng.choice([1e-3, 1.0, 100.0], size=rows)
+        # no segment holds its candidate, so the step is the last real
+        # breakpoint: 12 with every coefficient real, 2 with padding
+        coef[:2], r[:2], w_j[:2], c[:2] = 0.0, 0.0, 0.0, 100.0
+        coef[0], r[0] = 1.0, np.arange(1.0, n + 1)
+        coef[1, :2], r[1, :2] = 1.0, (1.0, 2.0)
         s_first = np.array([row[row > 0].sum() for row in coef])
         got = _weight_steps(w_j, coef, r, c, s_first)
         want = [_exact_weight_step(w_j[i], coef[i], r[i], c[i]) for i in range(rows)]
         assert got.tobytes() == np.array(want).tobytes()
+        assert got[:2].tolist() == [12.0, 2.0]
+
+    @settings(max_examples=500, deadline=None)
+    @given(FINITE, FINITE, st.integers(-4, 4))
+    def test_last_breakpoint_hits_when_its_segment_misses(self, scaled, w_j, ulps):
+        """Why ``_weight_steps`` needs no fallback for a row where no
+        breakpoint hits: the last segment's candidate ``scaled - w_j``
+        missing a breakpoint ``b`` forces ``(w_j + b) - scaled >= 0``.
+        ``b`` is drawn within a few ulps of the candidate, where rounding
+        could break it."""
+        b = scaled - w_j
+        for _ in range(abs(ulps)):
+            b = math.nextafter(b, math.copysign(math.inf, ulps))
+        assume(math.isfinite(b))
+        if scaled - w_j < b:
+            assert (w_j + b) - scaled >= 0.0
 
     def mixed_jobs(self):
         # one shape, problems that converge after very different epoch counts

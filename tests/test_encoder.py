@@ -1,5 +1,6 @@
 """Tests for PCA, GMM fitting, Fisher vectors and normalization."""
 
+import json
 import math
 import warnings
 
@@ -27,10 +28,116 @@ from skipstack.encoder import (
     save_codec,
 )
 from skipstack.features import SeriesDescriptorSet, SkipSchedule, extract_series_descriptors
-from skipstack.streams import stream
+from skipstack.streams import as_generator, stream
 
 
 CODEC_CONFIG = ExperimentConfig(seed=0, gmm_components=4, train_budget=500)
+
+
+# --- reference: the point-major E-step that the shared kernel replaced -------
+# Kept verbatim (module constants and the seeding helper are looked up on the
+# module, so monkeypatches reach both) as the oracle: EM and Fisher encoding
+# must reproduce its bits.
+
+
+def _log_densities(gmm: GmmModel, data: np.ndarray) -> np.ndarray:
+    """N x K matrix of log(w_k N(x | mu_k, diag var_k))."""
+    inv = 1.0 / gmm.variances
+    # expand ||(x - mu)/sigma||^2 through matmul to avoid an N x K x D array
+    quad = (
+        (data**2) @ inv.T
+        - 2.0 * data @ (gmm.means * inv).T
+        + np.sum(gmm.means**2 * inv, axis=1)
+    )
+    log_norm = -0.5 * (
+        data.shape[1] * math.log(2.0 * math.pi) + np.sum(np.log(gmm.variances), axis=1)
+    )
+    return np.log(gmm.weights) + log_norm - 0.5 * quad
+
+
+def _posteriors(gmm: GmmModel, data: np.ndarray) -> tuple[np.ndarray, float]:
+    """Soft assignments (rows sum to 1) and mean per-point log-likelihood."""
+    logd = _log_densities(gmm, data)
+    top = logd.max(axis=1, keepdims=True)
+    stable = np.exp(logd - top)
+    total = stable.sum(axis=1, keepdims=True)
+    mean_ll = float(np.mean(np.log(total) + top))
+    return stable / total, mean_ll
+
+
+def reference_gmm_fit(data: np.ndarray, k_components: int, rng=0) -> GmmModel:
+    data = np.asarray(data, dtype=float)
+    rng = as_generator(rng)
+    n, d = data.shape
+    if n < 10 * k_components:
+        raise ValueError(f"need at least {10 * k_components} points for K={k_components}, got {n}")
+    data_var = np.maximum(data.var(axis=0), np.finfo(float).tiny)
+    floor = enc.VARIANCE_FLOOR_RATIO * data_var
+    gmm = GmmModel(
+        weights=np.full(k_components, 1.0 / k_components),
+        means=enc._seed_means(data, k_components, rng),
+        variances=np.tile(data_var, (k_components, 1)),
+    )
+    trace = []
+    reseeds = np.zeros(k_components, dtype=int)
+    for _ in range(enc.EM_MAX_ITERS):
+        post, ll = _posteriors(gmm, data)
+        trace.append(ll)
+        if len(trace) > 1 and abs(trace[-1] - trace[-2]) <= enc.EM_TOL * abs(trace[-2]):
+            break
+        mass = post.sum(axis=0)
+        collapsed = np.flatnonzero(mass / n < enc.WEIGHT_COLLAPSE)
+        if collapsed.size:
+            for comp in collapsed:
+                reseeds[comp] += 1
+                if reseeds[comp] > enc.MAX_RESEEDS:
+                    raise ConvergenceError(
+                        f"component {comp} collapsed {reseeds[comp]} times; "
+                        f"reduce K or provide more data"
+                    )
+                gmm.means[comp] = data[rng.integers(n)]
+                gmm.variances[comp] = data_var
+            gmm.weights = np.full(k_components, 1.0 / k_components)
+            continue
+        weights = mass / n
+        means = (post.T @ data) / mass[:, None]
+        second = (post.T @ (data**2)) / mass[:, None]
+        variances = np.maximum(second - means**2, floor)
+        gmm = GmmModel(weights=weights, means=means, variances=variances)
+    gmm.log_likelihood_trace = np.asarray(trace)
+    return gmm
+
+
+def reference_fisher_vector(gmm: GmmModel, descriptors: np.ndarray) -> np.ndarray:
+    descriptors = np.asarray(descriptors, dtype=float)
+    n = descriptors.shape[0]
+    post, _ = _posteriors(gmm, descriptors)
+    sigma = np.sqrt(gmm.variances)
+    mass = post.sum(axis=0)
+    sum_x = post.T @ descriptors
+    sum_x2 = post.T @ (descriptors**2)
+    # sum_n gamma (x - mu)/sigma, expanded through the accumulated moments
+    g_mu = (sum_x - mass[:, None] * gmm.means) / sigma
+    g_mu /= n * np.sqrt(gmm.weights)[:, None]
+    g_var = (
+        sum_x2 - 2.0 * gmm.means * sum_x + mass[:, None] * gmm.means**2
+    ) / gmm.variances - mass[:, None]
+    g_var /= n * np.sqrt(2.0 * gmm.weights)[:, None]
+    return np.concatenate([g_mu.ravel(), g_var.ravel()])
+
+
+def clustered(n, dim, seed, centers=6):
+    """Points around a few random centers, so EM runs many iterations."""
+    rng = np.random.default_rng(seed)
+    means = rng.normal(scale=3.0, size=(centers, dim))
+    scales = rng.uniform(0.3, 1.5, size=(centers, dim))
+    pick = rng.integers(centers, size=n)
+    return means[pick] + rng.normal(size=(n, dim)) * scales[pick]
+
+
+def assert_same_gmm(got: GmmModel, want: GmmModel) -> None:
+    for name in ("weights", "means", "variances", "log_likelihood_trace"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
 def toy_descriptor_sets(n_sets=6, frames=64, channels=3, seed=0):
@@ -117,8 +224,10 @@ class TestGmmFit:
     def test_posteriors_rows_sum_to_one(self):
         data = np.random.default_rng(7).normal(size=(150, 2))
         gmm = gmm_fit(data, 3, rng=stream(7))
-        post, _ = enc._posteriors(gmm, data)
-        np.testing.assert_allclose(post.sum(axis=1), 1.0, atol=1e-12)
+        # the posterior mass of a one-point set is that point's row sum
+        masses = [enc._e_step(gmm, x[None, :], x[None, :] ** 2)[1].sum() for x in data]
+        np.testing.assert_allclose(masses, 1.0, atol=1e-12)
+        assert enc._e_step(gmm, data, data**2)[1].sum() == pytest.approx(150.0, rel=1e-12)
 
     def test_requires_ten_points_per_component(self):
         with pytest.raises(ValueError, match="at least"):
@@ -159,6 +268,60 @@ class TestGmmFit:
         assert np.array_equal(a.weights, b.weights)
 
 
+class TestMatchesPointMajorReference:
+    """EM and Fisher encoding keep every bit of the point-major E-step."""
+
+    @pytest.mark.parametrize(
+        "k, n, dim",
+        [(k, 1800, 10) for k in (1, 2, 5, 8, 12, 16, 24)]
+        + [(8, 100, 10), (16, 9000, 10), (16, 17600, 10), (1, 9000, 10), (1, 17600, 10)]
+        + [(k, 1800, dim) for k in (1, 5, 24) for dim in (2, 19)]
+        + [(2, 100, 2), (12, 9000, 19)],
+    )
+    def test_gmm_fit(self, k, n, dim):
+        data = clustered(n, dim, seed=k * 1000 + dim)
+        assert_same_gmm(gmm_fit(data, k, rng=stream(k, n)), reference_gmm_fit(data, k, rng=stream(k, n)))
+
+    @pytest.fixture
+    def far_seeding(self, monkeypatch):
+        original = enc._seed_means
+
+        def far_seeding(d, k, rng):
+            means = original(d, k, rng)
+            means[1] = 1e8  # underflows every density: immediate collapse
+            return means
+
+        monkeypatch.setattr(enc, "_seed_means", far_seeding)
+
+    def test_gmm_fit_after_a_reseed(self, far_seeding):
+        for k, n, dim in ((2, 100, 2), (5, 1800, 10)):
+            data = clustered(n, dim, seed=n)
+            got = gmm_fit(data, k, rng=stream(8))
+            assert_same_gmm(got, reference_gmm_fit(data, k, rng=stream(8)))
+
+    def test_gmm_fit_convergence_error(self, far_seeding, monkeypatch):
+        monkeypatch.setattr(enc, "MAX_RESEEDS", 0)
+        data = clustered(300, 3, seed=9)
+        with pytest.raises(ConvergenceError) as want:
+            reference_gmm_fit(data, 3, rng=stream(9))
+        with pytest.raises(ConvergenceError) as got:
+            gmm_fit(data, 3, rng=stream(9))
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("k, dim", [(1, 10), (2, 2), (5, 19), (16, 10), (24, 10)])
+    @pytest.mark.parametrize("rows", [1, 7, 200])
+    def test_fisher_vector(self, k, dim, rows):
+        gmm = gmm_fit(clustered(10 * k + 200, dim, seed=k), k, rng=stream(k))
+        x = clustered(rows, dim, seed=rows + k)
+        assert np.array_equal(fisher_vector(gmm, x).vector, reference_fisher_vector(gmm, x))
+
+    def test_mean_log_likelihood(self):
+        gmm = random_gmm(5, 10, 3)
+        for rows in (1, 7, 1800):
+            x = clustered(rows, 10, seed=rows)
+            assert mean_log_likelihood(gmm, x) == _posteriors(gmm, x)[1]
+
+
 def random_gmm(k, dim, seed):
     rng = np.random.default_rng(seed)
     w = rng.uniform(0.5, 1.5, size=k)
@@ -167,6 +330,35 @@ def random_gmm(k, dim, seed):
         means=rng.normal(scale=2.0, size=(k, dim)),
         variances=rng.uniform(0.5, 2.0, size=(k, dim)),
     )
+
+
+class TestGmmModel:
+    @pytest.mark.parametrize(
+        "weights, means, variances, match",
+        [
+            ([0.5, 0.6], [[0.0], [1.0]], [[1.0], [1.0]], "sum to 1"),
+            ([1.5, -0.5], [[0.0], [1.0]], [[1.0], [1.0]], "positive"),
+            ([0.5, 0.5], [[0.0], [1.0]], [[1.0], [0.0]], "positive"),
+            ([np.nan, np.nan], [[0.0], [0.0]], [[np.nan], [1.0]], "weights must be finite"),
+            ([0.5, 0.5], [[0.0], [np.nan]], [[1.0], [1.0]], "means must be finite"),
+            ([0.5, 0.5], [[np.inf], [0.0]], [[1.0], [1.0]], "means must be finite"),
+            ([0.5, 0.5], [[0.0], [1.0]], [[np.nan], [1.0]], "variances must be finite"),
+            ([0.5, 0.5], [[0.0], [1.0]], [[np.inf], [1.0]], "variances must be finite"),
+        ],
+    )
+    def test_invalid_parameters_rejected(self, weights, means, variances, match):
+        with pytest.raises(ValueError, match=match):
+            GmmModel(weights=weights, means=means, variances=variances)
+
+    def test_load_codec_rejects_nan(self, tmp_path):
+        codec = fit_codec(toy_descriptor_sets(), CODEC_CONFIG, rng=stream(17))
+        path = tmp_path / "codec.json"
+        save_codec(codec, path)
+        doc = json.loads(path.read_text())
+        doc["gmm"]["variances"][0][0] = float("nan")
+        path.write_text(json.dumps(doc))  # written as the bare token NaN
+        with pytest.raises(ValueError, match="variances must be finite"):
+            load_codec(path)
 
 
 class TestFisherVector:
