@@ -119,9 +119,11 @@ def _exact_bias_step(y: np.ndarray, r: np.ndarray, c: float) -> float:
     s_levels = np.empty(breaks.size + 1)
     s_levels[0] = np.sum(y > 0)
     np.subtract(s_levels[0], np.cumsum(np.abs(y[order])), out=s_levels[1:])
-    # derivative right of breakpoint k is -C * s_levels[k+1]
+    # derivative right of breakpoint k is -C * s_levels[k+1]. The levels are
+    # exact small integers, and the last is -(number of negative labels) <= 0,
+    # so with C > 0 the last breakpoint always hits (-0.0 >= 0 included).
     hit = -c * s_levels[1:] >= 0.0
-    return float(breaks[np.argmax(hit)]) if hit.any() else float(breaks[-1])
+    return float(breaks[np.argmax(hit)])
 
 
 def _descend(
@@ -344,11 +346,11 @@ def evaluate(clf: OneVsAllClassifier, x: np.ndarray, labels) -> EvalReport:
 def svm_train_cv(
     x: np.ndarray,
     labels,
-    c_grid=C_GRID,
     folds: int = 5,
     seed=0,
 ) -> tuple[OneVsAllClassifier, float]:
-    """Pick C by stratified cross-validated mean accuracy, then refit.
+    """Pick C from ``C_GRID`` by stratified cross-validated mean accuracy,
+    then refit.
 
     Ties prefer the smallest C. Returns the refit classifier and the
     chosen C.
@@ -364,19 +366,19 @@ def svm_train_cv(
         members = np.flatnonzero(labels == cls)
         members = members[rng.permutation(members.size)]
         fold_of[members] = np.arange(members.size) % folds
-    fold_scores = [[] for _ in c_grid]
+    fold_scores = [[] for _ in C_GRID]
     for fold in range(folds):
         train, val = fold_of != fold, fold_of == fold
         if np.unique(labels[train]).size < 2 or not val.any():
             continue
         # the fold's whole C grid in one solver call
-        jobs = [(0, labels[train], c, (*base, fold)) for c in c_grid]
+        jobs = [(0, labels[train], c, (*base, fold)) for c in C_GRID]
         for scores, clf in zip(fold_scores, svm_train_many([x[train]], jobs)):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 scores.append(evaluate(clf, x[val], labels[val]).macc)
     best_c, best_score = None, -1.0
-    for c, scores in zip(c_grid, fold_scores):
+    for c, scores in zip(C_GRID, fold_scores):
         score = float(np.mean(scores)) if scores else 0.0
         if score > best_score:
             best_c, best_score = c, score

@@ -16,9 +16,7 @@ import csv
 import hashlib
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -293,10 +291,7 @@ def cmd_evaluate(config: ExperimentConfig, out: Path, args) -> list[Path]:
 
 
 def cmd_run_recognition(config: ExperimentConfig, out: Path, args) -> list[Path]:
-    ds = generate_dataset(config)
-    # the executor is built here, where instrumentation can swap cli.ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=args.threads) as pool:
-        runs = recognition_grid(ds, config, pool.map)
+    runs = recognition_grid(generate_dataset(config), config)
     outputs = []
     for run in runs.values():
         record = {**_report_record(run.report), "cost": run.cost_total, "label": run.label}
@@ -391,13 +386,6 @@ COMMANDS = {
 }
 
 
-def _worker_count(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
-
-
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config file")
@@ -408,14 +396,6 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, (handler, help_text) in COMMANDS.items():
         sub = subparsers.add_parser(name, parents=[common], help=help_text)
         sub.set_defaults(handler=handler)
-        if name == "run-recognition":
-            sub.add_argument(
-                "--threads",
-                type=_worker_count,
-                # a string default goes through _worker_count like the flag
-                default=os.environ.get("SKIPSTACK_THREADS", "1"),
-                help="worker pool size (default: SKIPSTACK_THREADS or 1)",
-            )
         if name in ("sim-bounds", "run-recognition", "cost-report"):
             sub.add_argument(
                 "--format", choices=("csv", "json"), default="csv", dest="fmt",

@@ -81,23 +81,6 @@ class SkipSchedule:
         return text
 
 
-def parse_schedule_label(label: str, base_tau: float) -> SkipSchedule:
-    """Inverse of ``SkipSchedule.label``, e.g. "L=2-0" drops level 0."""
-    body = label.strip()
-    if not body.startswith("L="):
-        raise ValueError(f"schedule label must start with 'L=', got {label!r}")
-    parts = body[2:].split("-")
-    try:
-        levels = int(parts[0])
-        excluded = {int(p) for p in parts[1:]}
-    except ValueError as exc:
-        raise ValueError(f"malformed schedule label {label!r}") from exc
-    if any(e > levels or e < 0 for e in excluded):
-        raise ValueError(f"excluded level out of range in {label!r}")
-    include = tuple(l not in excluded for l in range(levels + 1))
-    return SkipSchedule(base_tau=base_tau, levels=levels, include=include)
-
-
 @dataclass
 class FeatureMatrix:
     """Coefficient differences ``p`` (k x T) and, optionally, the observed

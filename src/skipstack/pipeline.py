@@ -3,15 +3,13 @@
 The grid runner reproduces the level-comparison experiment shape: each
 single level on its own versus the stacked schedules, all sharing one
 dataset and seed so the comparison is paired. A run has three stages:
-extract and encode each schedule (the only stage an executor's ``map``
-spreads), train the one-vs-all classifiers of every schedule in one
-batched solver call, then evaluate each schedule.
+extract and encode each schedule, train the one-vs-all classifiers of
+every schedule in one batched solver call, then evaluate each schedule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -70,43 +68,6 @@ def _encode(
     return x_train, x_test
 
 
-def _run(
-    dataset: SyntheticActionDataset,
-    schedules: list[SkipSchedule],
-    config: ExperimentConfig,
-    salts,
-    map=map,
-) -> list[RecognitionRun]:
-    """Schedule i runs with salt ``salts[i]``, so its result does not
-    depend on which other schedules share the call."""
-    encoded = list(map(_encode, repeat(dataset), schedules, repeat(config), salts))
-    classifiers = svm_train_many(
-        [x_train for x_train, _ in encoded],
-        [
-            (i, dataset.labels[dataset.train_idx], config.svm_c, (config.seed, 3, salt))
-            for i, salt in enumerate(salts)
-        ],
-    )
-    return [
-        RecognitionRun(
-            label=schedule.label,
-            report=evaluate(classifier, x_test, dataset.labels[dataset.test_idx]),
-            cost_total=level_cost_report(schedule).total_relative,
-        )
-        for schedule, classifier, (_, x_test) in zip(schedules, classifiers, encoded)
-    ]
-
-
-def run_schedule(
-    dataset: SyntheticActionDataset,
-    schedule: SkipSchedule,
-    config: ExperimentConfig,
-    salt: int = 0,
-) -> RecognitionRun:
-    """One full pass: codec fit on the training split only, report on test."""
-    return _run(dataset, [schedule], config, [salt])[0]
-
-
 def grid_schedules(frames: int, max_level: int) -> list[SkipSchedule]:
     """Single levels 0..max_level followed by stacks L=1..max_level."""
     return [single_level_schedule(frames, level) for level in range(max_level + 1)] + [
@@ -115,16 +76,28 @@ def grid_schedules(frames: int, max_level: int) -> list[SkipSchedule]:
 
 
 def recognition_grid(
-    dataset: SyntheticActionDataset, config: ExperimentConfig, map=map
+    dataset: SyntheticActionDataset, config: ExperimentConfig
 ) -> dict[str, RecognitionRun]:
     """One run per grid schedule up to ``config.levels`` plus the config's
     masked schedule if new, keyed by label. Schedule i runs with salt i, so
-    an executor's ``map`` may extract and encode them concurrently without
-    changing a result."""
+    a schedule's result does not depend on which schedules follow it."""
     schedules = grid_schedules(dataset.frames, config.levels)
     if config.exclude:
         masked = schedule_of(config, dataset.frames)
         if masked.label not in {schedule.label for schedule in schedules}:
             schedules.append(masked)
-    runs = _run(dataset, schedules, config, range(len(schedules)), map)
-    return {run.label: run for run in runs}
+    encoded = [_encode(dataset, schedule, config, salt) for salt, schedule in enumerate(schedules)]
+    y_train = dataset.labels[dataset.train_idx]
+    classifiers = svm_train_many(
+        [x_train for x_train, _ in encoded],
+        [(salt, y_train, config.svm_c, (config.seed, 3, salt)) for salt in range(len(schedules))],
+    )
+    y_test = dataset.labels[dataset.test_idx]
+    return {
+        schedule.label: RecognitionRun(
+            label=schedule.label,
+            report=evaluate(classifier, x_test, y_test),
+            cost_total=level_cost_report(schedule).total_relative,
+        )
+        for schedule, classifier, (_, x_test) in zip(schedules, classifiers, encoded)
+    }

@@ -3,8 +3,8 @@
 Every stochastic routine in this package draws from a numpy Generator that is
 either passed in directly or derived from an integer seed plus a structured
 key (level index, trial index, ...). Streams derived from distinct keys are
-independent, so parallel execution over trials or levels reproduces the
-serial results exactly.
+independent, so a result depends only on its own key, not on what else was
+drawn before it.
 """
 from __future__ import annotations
 

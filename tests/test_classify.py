@@ -4,9 +4,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from skipstack import classify
 from skipstack.classify import (
     SVM_EPOCHS,
     SVM_TOL,
@@ -212,6 +213,30 @@ class TestReferenceOracle:
         assume(math.isfinite(b))
         if scaled - w_j < b:
             assert (w_j + b) - scaled >= 0.0
+
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from([-1.0, 1.0]),
+                st.one_of(st.sampled_from([-1.0, 0.0, 0.5, 1.0]), FINITE),
+            ),
+            min_size=1,
+            max_size=30,
+        ),
+        st.sampled_from([1e-3, 1.0, 100.0]),
+    )
+    @example([(1.0, 0.5), (1.0, 1.0), (1.0, 0.5)], 1.0)  # all positive, tied
+    @example([(-1.0, 0.5), (-1.0, 0.0), (-1.0, 0.5)], 100.0)  # all negative, tied
+    @example([(1.0, 0.0), (-1.0, 0.0), (1.0, -0.0), (-1.0, 1.0)], 1e-3)
+    def test_bias_step_matches_the_one_problem_step(self, pairs, c):
+        """The module's ``_exact_bias_step`` has no fallback for a step where
+        no breakpoint hits; its last slope level, -(number of negative
+        labels), always hits. It must still equal the oracle bit for bit."""
+        y, r = (np.array(column) for column in zip(*pairs))
+        got = classify._exact_bias_step(y, r, c)
+        want = _exact_bias_step(y, r, c)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
     def mixed_jobs(self):
         # one shape, problems that converge after very different epoch counts

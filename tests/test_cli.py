@@ -5,9 +5,12 @@ exit codes, output files and manifests are checked exactly as a shell
 user would see them.
 """
 
+import argparse
 import csv
 import hashlib
+import itertools
 import json
+import re
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -378,14 +381,6 @@ class TestRunRecognition:
         # levels 1 and 2 only: 24/48 + 16/48 of the base feature count
         assert masked["cost"] == pytest.approx(24 / 48 + 16 / 48)
 
-    def test_thread_count_does_not_change_bytes(self, tmp_path):
-        cfg = write_config(tmp_path)
-        outs = (tmp_path / "t1", tmp_path / "t3")
-        for out, threads in zip(outs, ("1", "3")):
-            assert run(cfg, out, "run-recognition", "--threads", threads) == 0
-        for name in ("grid.csv", "report-L=0.json", "report-L=1-0.json", "report-L=1.json"):
-            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
-
 
 class TestCostReport:
     def test_levels_2_counts_and_total(self, tmp_path):
@@ -463,41 +458,43 @@ class TestPlot:
 
 
 class TestParser:
-    def test_threads_env_fallback(self, monkeypatch):
-        monkeypatch.setenv("SKIPSTACK_THREADS", "7")
-        assert _build_parser().parse_args(["run-recognition"]).threads == 7
-
-    def test_threads_default_is_one(self, monkeypatch):
-        monkeypatch.delenv("SKIPSTACK_THREADS", raising=False)
-        assert _build_parser().parse_args(["run-recognition"]).threads == 1
-
-    def test_threads_flag_beats_env(self, monkeypatch):
-        monkeypatch.setenv("SKIPSTACK_THREADS", "7")
-        args = _build_parser().parse_args(["run-recognition", "--threads", "2"])
-        assert args.threads == 2
-
-    @pytest.mark.parametrize("threads", ["0", "-3", "two"])
-    def test_threads_below_one_exit_2(self, threads, capsys):
-        with pytest.raises(SystemExit) as exc:
-            _build_parser().parse_args(["run-recognition", "--threads", threads])
-        assert exc.value.code == 2
-        assert "--threads" in capsys.readouterr().err
-
-    def test_threads_env_below_one_exit_2(self, monkeypatch):
-        monkeypatch.setenv("SKIPSTACK_THREADS", "0")
-        with pytest.raises(SystemExit) as exc:
-            _build_parser().parse_args(["run-recognition"])
-        assert exc.value.code == 2
-
     @pytest.mark.parametrize(
         "verb, flag",
-        [("model-gen", "--threads"), ("encode", "--threads"), ("model-gen", "--format"), ("train", "--format")],
+        [
+            ("model-gen", "--threads"),
+            ("encode", "--threads"),
+            ("model-gen", "--format"),
+            ("train", "--format"),
+            ("run-recognition", "--threads"),
+        ],
     )
     def test_flags_only_where_they_act(self, verb, flag):
         value = "2" if flag == "--threads" else "json"
         with pytest.raises(SystemExit) as exc:
             _build_parser().parse_args([verb, flag, value])
         assert exc.value.code == 2
+
+    def test_readme_flag_table_matches_the_parser(self):
+        """README's per-command table lists every flag beyond the common
+        ones on exactly the verbs that take it."""
+        lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+        start = lines.index("| flag | commands |") + 2
+        documented: dict[str, set[str]] = {}
+        for line in itertools.takewhile(lambda text: text.startswith("|"), lines[start:]):
+            flags, verbs = re.split(r"(?<!\\)\|", line)[1:3]
+            for flag in re.findall(r"`(--[a-z-]+)", flags):
+                documented[flag] = set(re.findall(r"`([a-z-]+)`", verbs))
+        subparsers = next(
+            action for action in _build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        actual: dict[str, set[str]] = {}
+        for verb, sub in subparsers.choices.items():
+            for action in sub._actions:
+                for flag in action.option_strings:
+                    if flag not in ("--config", "--seed", "--out", "-h", "--help"):
+                        actual.setdefault(flag, set()).add(verb)
+        assert documented == actual
 
     def test_format_on_the_tabular_verbs(self):
         for verb in ("sim-bounds", "run-recognition", "cost-report"):

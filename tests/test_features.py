@@ -10,7 +10,6 @@ from skipstack.features import (
     extract_series_descriptors,
     level_cost_report,
     mifs_stack,
-    parse_schedule_label,
 )
 from skipstack.latent import new_model
 from skipstack.streams import stream
@@ -47,9 +46,6 @@ class TestSkipSchedule:
     def test_labels_round_trip(self):
         s = SkipSchedule(base_tau=1 / 100, levels=2, include=(False, True, True))
         assert s.label == "L=2-0"
-        back = parse_schedule_label("L=2-0", base_tau=1 / 100)
-        assert back == s
-        assert parse_schedule_label("L=3", 1 / 10).label == "L=3"
 
     def test_empty_mask_rejected(self):
         with pytest.raises(ValueError, match="at least one level"):
@@ -113,7 +109,7 @@ class TestMifsStack:
         assert list(np.unique(fm.level_of_column)) == [0, 1, 2]
 
     def test_masked_level_zero(self):
-        s = parse_schedule_label("L=1-0", base_tau=1 / 100)
+        s = SkipSchedule(base_tau=1 / 100, levels=1, include=(False, True))
         fm = mifs_stack(make_model(), s, seed=9)
         assert fm.columns == 50
         assert set(fm.level_of_column) == {1}
@@ -210,7 +206,8 @@ class TestCostReport:
         assert report.total_relative == 1.0
 
     def test_masked_schedule_cost(self):
-        report = level_cost_report(parse_schedule_label("L=2-0", base_tau=1 / 1000))
+        schedule = SkipSchedule(base_tau=1 / 1000, levels=2, include=(False, True, True))
+        report = level_cost_report(schedule)
         assert report.total_relative == pytest.approx(0.833, abs=1e-12)
 
 

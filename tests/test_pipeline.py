@@ -1,19 +1,12 @@
 """Smoke and determinism tests for the end-to-end recognition runner."""
 
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 import pytest
 
 from skipstack.config import ExperimentConfig
 from skipstack.dataset import generate_dataset
-from skipstack.features import parse_schedule_label
-from skipstack.pipeline import (
-    mifs_schedule,
-    recognition_grid,
-    run_schedule,
-    single_level_schedule,
-)
+from skipstack.features import SkipSchedule, level_cost_report
+from skipstack.pipeline import mifs_schedule, recognition_grid, single_level_schedule
 
 
 def tiny_config(**overrides):
@@ -48,26 +41,37 @@ class TestSchedules:
         assert schedule.base_tau == pytest.approx(1.0 / 48)
 
 
+def assert_same_report(a, b):
+    assert a.report.macc == b.report.macc
+    assert a.report.mean_ap == b.report.mean_ap
+    assert a.report.per_class == b.report.per_class
+    assert np.array_equal(a.report.confusion, b.report.confusion)
+    assert a.cost_total == b.cost_total
+
+
 class TestRunSchedule:
+    """One schedule's run inside the grid."""
+
     def test_report_shape_and_cost(self, tiny_dataset):
-        run = run_schedule(tiny_dataset, mifs_schedule(48, 1), tiny_config())
+        run = recognition_grid(tiny_dataset, tiny_config())["L=1"]
         assert run.label == "L=1"
         assert 0.0 <= run.report.macc <= 100.0
         assert 0.0 <= run.report.mean_ap <= 100.0
         assert run.cost_total == pytest.approx(1.0 + 24 / 48)
 
     def test_masked_schedule_runs_and_reports_reduced_cost(self, tiny_dataset):
-        schedule = parse_schedule_label("L=1-0", 1.0 / 48)
-        run = run_schedule(tiny_dataset, schedule, tiny_config())
+        schedule = SkipSchedule(base_tau=1.0 / 48, levels=1, include=(False, True))
+        run = recognition_grid(tiny_dataset, tiny_config())[schedule.label]
         assert run.label == "L=1-0"
+        assert run.cost_total == level_cost_report(schedule).total_relative
         assert run.cost_total == pytest.approx(0.5)
 
     def test_deterministic_given_seed(self, tiny_dataset):
-        a = run_schedule(tiny_dataset, mifs_schedule(48, 1), tiny_config(seed=3))
-        b = run_schedule(tiny_dataset, mifs_schedule(48, 1), tiny_config(seed=3))
-        assert a.report.macc == b.report.macc
-        assert a.report.mean_ap == b.report.mean_ap
-        assert np.array_equal(a.report.confusion, b.report.confusion)
+        a = recognition_grid(tiny_dataset, tiny_config(seed=3))
+        b = recognition_grid(tiny_dataset, tiny_config(seed=3))
+        assert list(a) == list(b)
+        for label, run in a.items():
+            assert_same_report(run, b[label])
 
 
 class TestGrid:
@@ -86,21 +90,11 @@ class TestGrid:
         runs = recognition_grid(tiny_dataset, tiny_config(exclude=(0,)))
         assert list(runs) == ["L=0", "L=1-0", "L=1"]
 
-    def test_pool_map_gives_the_serial_results(self, tiny_dataset):
-        serial = recognition_grid(tiny_dataset, tiny_config())
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            pooled = recognition_grid(tiny_dataset, tiny_config(), pool.map)
-        assert list(pooled) == list(serial)
-        for label, run in serial.items():
-            assert pooled[label].report.macc == run.report.macc
-            assert np.array_equal(pooled[label].report.confusion, run.report.confusion)
-
-    def test_a_schedule_alone_matches_its_grid_run(self, tiny_dataset):
+    def test_an_appended_masked_schedule_leaves_the_grid_runs_alone(self, tiny_dataset):
         # the grid trains every schedule in one batched solver call
-        runs = recognition_grid(tiny_dataset, tiny_config())
-        for salt, (label, run) in enumerate(runs.items()):
-            schedule = parse_schedule_label(label, 1.0 / 48)
-            alone = run_schedule(tiny_dataset, schedule, tiny_config(), salt=salt)
-            assert alone.report.macc == run.report.macc
-            assert alone.report.mean_ap == run.report.mean_ap
-            assert np.array_equal(alone.report.confusion, run.report.confusion)
+        grid = recognition_grid(tiny_dataset, tiny_config(levels=2))
+        masked = SkipSchedule(base_tau=1.0 / 48, levels=2, include=(True, False, True))
+        runs = recognition_grid(tiny_dataset, tiny_config(levels=2, exclude=(1,)))
+        assert list(runs) == [*grid, masked.label]
+        for label, run in grid.items():
+            assert_same_report(runs[label], run)
