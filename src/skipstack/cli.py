@@ -168,35 +168,23 @@ def cmd_sim_condition(config: ExperimentConfig, out: Path, args) -> list[Path]:
 
 
 def cmd_sim_bounds(config: ExperimentConfig, out: Path, args) -> list[Path]:
+    model = _model_of(config)
     schedule = schedule_of(config)
     rows = []
     for level in schedule.included_levels:
+        tau, t = schedule.tau(level), schedule.budget(level)
         report = theorem1_bounds(
-            config.gammas[0],
-            config.gammas[-1],
-            config.c,
-            schedule.tau(level),
-            config.k,
-            schedule.budget(level),
-            config.delta,
+            model.gammas[0], model.gammas[-1], model.c, tau, model.k, t, config.delta
         )
         rows.append(
-            (
-                f"level {level}",
-                schedule.tau(level),
-                schedule.budget(level),
-                report.bound_lower,
-                report.bound_upper,
-                report.delta_tau,
-            )
+            (f"level {level}", tau, t, report.bound_lower, report.bound_upper, report.delta_tau)
         )
-    stacked = theorem2_bounds(config.gammas, config.c, schedule, config.delta)
-    total = sum(schedule.budget(level) for level in schedule.included_levels)
+    stacked = theorem2_bounds(model.gammas, model.c, schedule, config.delta)
     rows.append(
         (
             "stacked",
             schedule.base_tau,
-            total,
+            sum(row[2] for row in rows),
             stacked.bound_lower,
             stacked.bound_upper,
             stacked.delta_tau,
@@ -230,7 +218,7 @@ def cmd_spectrum(config: ExperimentConfig, out: Path, args) -> list[Path]:
     for levels in range(config.levels + 1):
         schedule = SkipSchedule(base_tau=config.schedule_base_tau, levels=levels)
         stacked = mifs_stack(model, schedule, config.seed)
-        curve = spectrum_curve(stacked, schedule.label)
+        curve = spectrum_curve(stacked)
         rows.extend(
             (levels, index + 1, sigma) for index, sigma in enumerate(curve.sigmas)
         )

@@ -15,10 +15,12 @@ Bound conventions. The fixed-skip sandwich is
 with concentration radius D = 2 sqrt(k (1/T)(1+c) log(2k/delta)). The
 stacked version replaces each exp term by its budget-weighted average over
 levels, sum_l (T_l/T) e^(-g/tau_l), and evaluates D at the total budget.
-The per-column second moments carry a factor 2 (difference of two signs);
-it divides out of the beta ratio, and dropping it is what makes the
-stacked bound collapse exactly to the fixed-skip bound on a one-level
-schedule.
+Both theorems run through one routine, so a one-level schedule gives the
+fixed-skip bound bit for bit. The per-column second moments carry a factor
+2 (difference of two signs); it divides out of the beta ratio and is
+dropped. The lower bound is clipped at 1; the upper bound is +inf
+(vacuous) unless the gk exp term exceeds D. Both need a total budget of at
+least T_min = ceil(k log(2k/delta) / (9 (1+c))).
 """
 from __future__ import annotations
 
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .features import FeatureMatrix, SeriesDescriptorSet, SkipSchedule
+from .features import FeatureMatrix, SkipSchedule, budget
 from .latent import LatentModel, sample_difference_matrix
 from .streams import stream
 
@@ -35,34 +37,37 @@ from .streams import stream
 RANK_DEFICIENT_RATIO = 1e-12
 
 
-@dataclass
+@dataclass(frozen=True)
 class ConditionReport:
-    """Empirical condition number and/or its probabilistic sandwich.
+    """Empirical beta = lambda_max / lambda_min of a normalized Gram matrix.
 
-    ``condition_number`` fills the empirical fields, the bound operations
-    fill the bound fields; ``coverage_experiment`` merges both. Unset
-    fields stay None. An infinite ``beta_empirical`` or ``bound_upper``
-    flags a numerically singular Gram matrix / vacuous-bound regime.
+    An infinite ``beta_empirical`` flags a numerically singular matrix.
     """
 
-    beta_empirical: float | None = None
-    lambda_max: float | None = None
-    lambda_min: float | None = None
-    bound_upper: float | None = None
-    bound_lower: float | None = None
-    delta_tau: float | None = None
-    t_min_required: int | None = None
-    within_bounds: bool | None = None
+    beta_empirical: float
+    lambda_max: float
+    lambda_min: float
+
+
+@dataclass(frozen=True)
+class BoundReport:
+    """Probabilistic sandwich for beta and its concentration radius.
+
+    An infinite ``bound_upper`` flags the vacuous regime, where the slowest
+    exp term does not clear the radius.
+    """
+
+    bound_lower: float
+    bound_upper: float
+    delta_tau: float
 
 
 def condition_number(p) -> ConditionReport:
-    """Empirical beta = lambda_max / lambda_min of the normalized Gram (1/T) P Pᵀ.
+    """Empirical beta of the normalized Gram (1/T) P Pᵀ of a k x T array.
 
-    Accepts a FeatureMatrix or a bare k x T array. Requires T >= k; a
-    smallest eigenvalue below 1e-12 of the largest reports beta as +inf.
+    Requires T >= k; a smallest eigenvalue below 1e-12 of the largest
+    reports beta as +inf.
     """
-    if isinstance(p, FeatureMatrix):
-        p = p.p
     p = np.asarray(p, dtype=float)
     k, t = p.shape
     if t < k:
@@ -78,23 +83,32 @@ def condition_number(p) -> ConditionReport:
     return ConditionReport(beta_empirical=beta, lambda_max=lam_max, lambda_min=lam_min)
 
 
-def _delta_tau(k: int, t: int, c: float, delta: float) -> float:
-    return 2.0 * math.sqrt(k * (1.0 / t) * (1.0 + c) * math.log(2.0 * k / delta))
-
-
-def _t_minimum(k: int, c: float, delta: float) -> int:
-    return math.ceil(k * math.log(2.0 * k / delta) / (9.0 * (1.0 + c)))
-
-
 def _sandwich(num_scale: float, w1: float, wk: float, d: float) -> tuple[float, float]:
     upper = math.inf if wk - d <= 0 else (num_scale * w1 + d) / (wk - d)
     lower = max((num_scale * w1 - d) / (wk + d), 1.0)
     return lower, upper
 
 
-def _check_confidence(delta: float) -> None:
+def _bounds(gamma1, gammak, k: int, c: float, taus, budgets, delta: float) -> BoundReport:
+    """The sandwich with each exp term averaged over the skips ``taus``,
+    weighted by their sample ``budgets``, and D at the total budget.
+
+    Both theorems end here: one skip is Theorem 1, several are Theorem 2.
+    """
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
+    budgets = np.asarray(budgets, dtype=float)
+    total = float(budgets.sum())
+    t_min = math.ceil(k * math.log(2.0 * k / delta) / (9.0 * (1.0 + c)))
+    if not t_min <= total < math.inf:
+        raise ValueError(f"sample budget T={total:.0f} not finite or below the required minimum {t_min}")
+    weights = budgets / total
+    taus = np.asarray(taus, dtype=float)
+    w1 = float(np.sum(weights * np.exp(-gamma1 / taus)))
+    wk = float(np.sum(weights * np.exp(-gammak / taus)))
+    d = 2.0 * math.sqrt(k * (1.0 / total) * (1.0 + c) * math.log(2.0 * k / delta))
+    lower, upper = _sandwich(1.0 + c, w1, wk, d)
+    return BoundReport(bound_lower=lower, bound_upper=upper, delta_tau=d)
 
 
 def theorem1_bounds(
@@ -105,22 +119,11 @@ def theorem1_bounds(
     k: int,
     t: int,
     delta: float,
-) -> ConditionReport:
+) -> BoundReport:
     """Probabilistic sandwich for beta at a fixed skip, confidence 1 - delta."""
-    _check_confidence(delta)
     if gamma1 > gammak:
         raise ValueError("gamma1 must not exceed gammak")
-    t_min = _t_minimum(k, c, delta)
-    if t < t_min:
-        raise ValueError(f"sample budget T={t} below the required minimum {t_min}")
-    d = _delta_tau(k, t, c, delta)
-    lower, upper = _sandwich(1.0 + c, math.exp(-gamma1 / tau), math.exp(-gammak / tau), d)
-    return ConditionReport(
-        bound_upper=upper,
-        bound_lower=lower,
-        delta_tau=d,
-        t_min_required=t_min,
-    )
+    return _bounds(gamma1, gammak, k, c, [tau], [t], delta)
 
 
 @dataclass(frozen=True)
@@ -149,42 +152,33 @@ def theorem2_bounds(
     c: float,
     schedule: SkipSchedule,
     delta: float,
-) -> ConditionReport:
+) -> BoundReport:
     """Sandwich for beta of the stacked matrix over a skip schedule.
 
     The exp terms become budget-weighted averages over the schedule's
     levels and the concentration radius shrinks with the total budget.
-    A one-level schedule reproduces theorem1_bounds exactly.
+    A one-level schedule reproduces theorem1_bounds bit for bit.
     """
-    _check_confidence(delta)
     gammas = np.asarray(gammas, dtype=float)
     if np.any(np.diff(gammas) < 0):
         raise ValueError("gammas must be sorted non-decreasing")
-    k = gammas.size
-    budgets = np.array([schedule.budget(l) for l in schedule.included_levels], dtype=float)
-    taus = np.array([schedule.tau(l) for l in schedule.included_levels])
-    total = budgets.sum()
-    t_min = _t_minimum(k, c, delta)
-    if total < t_min:
-        raise ValueError(f"sample budget T={int(total)} below the required minimum {t_min}")
-    weights = budgets / total
-    w1 = float(np.sum(weights * np.exp(-gammas[0] / taus)))
-    wk = float(np.sum(weights * np.exp(-gammas[-1] / taus)))
-    d = _delta_tau(k, int(total), c, delta)
-    lower, upper = _sandwich(1.0 + c, w1, wk, d)
-    return ConditionReport(
-        bound_upper=upper,
-        bound_lower=lower,
-        delta_tau=d,
-        t_min_required=t_min,
+    levels = schedule.included_levels
+    return _bounds(
+        gammas[0],
+        gammas[-1],
+        gammas.size,
+        c,
+        [schedule.tau(l) for l in levels],
+        [schedule.budget(l) for l in levels],
+        delta,
     )
 
 
-def bernstein_bound(b: float, norm_es: float, p_dim: int, n: int, delta: float) -> float:
+def bernstein_bound(b: float, norm_es: float, p_dim: int, delta: float) -> float:
     """Matrix concentration radius sqrt(2 B |ES| log(2p/d)) + (B/3) log(2p/d).
 
-    ``n`` is part of the sampling context only; the sum length enters
-    through ``norm_es``.
+    ``b`` bounds each summand's norm and ``norm_es`` is the norm of the
+    expected sum, so the sum length enters only through ``norm_es``.
     """
     if b <= 0 or norm_es < 0 or p_dim < 1:
         raise ValueError("b must be positive, norm_es non-negative, p_dim >= 1")
@@ -213,7 +207,7 @@ def bernstein_coverage_test(
         raise ValueError(f"trials must be >= 100, got {trials}")
     scale = math.sqrt(b / p_dim)
     norm_es = n * b / p_dim
-    radius = bernstein_bound(b, norm_es, p_dim, n, delta)
+    radius = bernstein_bound(b, norm_es, p_dim, delta)
     mean = norm_es * np.eye(p_dim)
     exceed = 0
     for trial in range(trials):
@@ -231,7 +225,6 @@ class SpectrumCurve:
     """Top singular values of a feature matrix, normalized by the largest."""
 
     sigmas: np.ndarray
-    level_label: str
 
     def __post_init__(self) -> None:
         self.sigmas = np.asarray(self.sigmas, dtype=float)
@@ -243,19 +236,16 @@ class SpectrumCurve:
             raise ValueError("normalized spectrum must lie in [0, 1]")
 
 
-def spectrum_curve(source, level_label: str = "") -> SpectrumCurve:
+def spectrum_curve(source) -> SpectrumCurve:
     """Top-10 normalized singular values of a feature matrix.
 
-    Accepts a bare matrix (features as columns), a FeatureMatrix (the
-    observed matrix f when present, else p) or a SeriesDescriptorSet
-    (descriptor rows transposed). Needs >= 10 feature columns; an all-zero
-    matrix has no spectrum and is rejected. Shorter curves come out when
-    the matrix has fewer than 10 rows.
+    Accepts a bare matrix (features as columns) or a FeatureMatrix (the
+    observed matrix f when present, else p). Needs >= 10 feature columns;
+    an all-zero matrix has no spectrum and is rejected. Shorter curves come
+    out when the matrix has fewer than 10 rows.
     """
     if isinstance(source, FeatureMatrix):
         matrix = source.f if source.f is not None else source.p
-    elif isinstance(source, SeriesDescriptorSet):
-        matrix = source.descriptors.T
     else:
         matrix = np.asarray(source, dtype=float)
     if matrix.ndim != 2:
@@ -274,7 +264,7 @@ def spectrum_curve(source, level_label: str = "") -> SpectrumCurve:
     eigs = np.linalg.eigvalsh(gram)[::-1]
     keep = min(10, eigs.size)
     sigmas = np.sqrt(np.clip(eigs[:keep], 0.0, None))
-    return SpectrumCurve(sigmas=sigmas / sigmas[0], level_label=level_label)
+    return SpectrumCurve(sigmas=sigmas / sigmas[0])
 
 
 @dataclass
@@ -330,7 +320,7 @@ def coverage_experiment(
 
     else:
         tau = float(skip)
-        t = t_samples if t_samples is not None else int(np.floor(1.0 / tau + 1e-9))
+        t = t_samples if t_samples is not None else budget(tau)
         bounds = theorem1_bounds(
             model.gammas[0], model.gammas[-1], model.c, tau, model.k, t, delta
         )

@@ -10,6 +10,7 @@ every-2nd-frame features.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +20,14 @@ from .streams import as_generator, stream
 
 # guards float-division noise in floor(1/tau); 1/(0.1*2) is 4.999...
 FLOOR_EPS = 1e-9
+
+
+def budget(tau: float) -> int:
+    """Feature count floor(1 / tau) at skip tau."""
+    count = 1.0 / tau + FLOOR_EPS
+    if not math.isfinite(count):
+        raise ValueError(f"skip tau={tau} gives no finite sample budget")
+    return math.floor(count)
 
 
 @dataclass(frozen=True)
@@ -66,7 +75,7 @@ class SkipSchedule:
 
     def budget(self, level: int) -> int:
         """Feature count floor(1 / tau_l) at one level."""
-        return int(np.floor(1.0 / self.tau(level) + FLOOR_EPS))
+        return budget(self.tau(level))
 
     @property
     def included_levels(self) -> tuple[int, ...]:
@@ -84,20 +93,15 @@ class SkipSchedule:
 @dataclass
 class FeatureMatrix:
     """Coefficient differences ``p`` (k x T) and, optionally, the observed
-    features ``f`` (d x T); columns carry their level and skip."""
+    features ``f`` (d x T). A stack holds its levels' columns in schedule
+    order, each level's budget in turn."""
 
     p: np.ndarray
     f: np.ndarray | None
-    level_of_column: np.ndarray
-    tau_of_column: np.ndarray
 
     def __post_init__(self) -> None:
         self.p = np.asarray(self.p, dtype=float)
         t = self.p.shape[1]
-        self.level_of_column = np.asarray(self.level_of_column, dtype=int)
-        self.tau_of_column = np.asarray(self.tau_of_column, dtype=float)
-        if self.level_of_column.shape != (t,) or self.tau_of_column.shape != (t,):
-            raise ValueError("per-column tags must match the column count")
         if np.max(np.abs(self.p), initial=0.0) > 2.0:
             raise ValueError("coefficient differences must lie in [-2, 2]")
         if self.f is not None:
@@ -135,19 +139,16 @@ def build_feature_matrix(
     tau: float,
     rng: np.random.Generator,
     *,
-    n_cols: int | None = None,
     observe: bool | None = None,
-    level: int = 0,
 ) -> FeatureMatrix:
     """Extract T = floor(1/tau) differential features at a single skip.
 
-    ``n_cols`` overrides the sample budget (conditioning experiments sweep
-    T independently of tau). ``observe`` forces or suppresses the noisy
-    d-dimensional feature matrix f = xbar @ p + (eps' - eps); by default f
-    is produced exactly when the model carries noise (sigma > 0).
+    ``observe`` forces or suppresses the noisy d-dimensional feature matrix
+    f = xbar @ p + (eps' - eps); by default f is produced exactly when the
+    model carries noise (sigma > 0).
     """
     rng = as_generator(rng)
-    t = n_cols if n_cols is not None else int(np.floor(1.0 / tau + FLOOR_EPS))
+    t = budget(tau)
     if t < 1:
         raise ValueError(f"sample budget T must be >= 1, got {t} (tau={tau})")
     p = sample_difference_matrix(model, tau, t, rng)
@@ -160,12 +161,7 @@ def build_feature_matrix(
             eps = rng.normal(0.0, model.sigma, size=(model.d, t))
             eps_tau = rng.normal(0.0, model.sigma, size=(model.d, t))
             f = f + (eps_tau - eps)
-    return FeatureMatrix(
-        p=p,
-        f=f,
-        level_of_column=np.full(t, level),
-        tau_of_column=np.full(t, tau),
-    )
+    return FeatureMatrix(p=p, f=f)
 
 
 def mifs_stack(
@@ -182,13 +178,7 @@ def mifs_stack(
     may be extracted concurrently.
     """
     blocks = [
-        build_feature_matrix(
-            model,
-            schedule.tau(level),
-            stream(seed, level),
-            observe=observe,
-            level=level,
-        )
+        build_feature_matrix(model, schedule.tau(level), stream(seed, level), observe=observe)
         for level in schedule.included_levels
     ]
     return FeatureMatrix(
@@ -196,8 +186,6 @@ def mifs_stack(
         f=None
         if blocks[0].f is None
         else np.concatenate([b.f for b in blocks], axis=1),
-        level_of_column=np.concatenate([b.level_of_column for b in blocks]),
-        tau_of_column=np.concatenate([b.tau_of_column for b in blocks]),
     )
 
 
@@ -271,7 +259,7 @@ def level_cost_report(schedule: SkipSchedule) -> CostReport:
     when level 0 itself is masked out, so reduced schedules report their
     saving against the standard single-skip pass.
     """
-    base = int(np.floor(1.0 / schedule.base_tau + FLOOR_EPS))
+    base = budget(schedule.base_tau)
     rows = tuple(
         LevelCost(
             level=level,

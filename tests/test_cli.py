@@ -18,8 +18,8 @@ import numpy as np
 import pytest
 
 from skipstack.cli import _build_parser, main
-from skipstack.conditioning import spectrum_curve
-from skipstack.config import config_hash, load_config
+from skipstack.conditioning import spectrum_curve, theorem1_bounds, theorem2_bounds
+from skipstack.config import config_hash, load_config, schedule_of
 from skipstack.dataset import load_dataset
 from skipstack.encoder import ConvergenceError
 from skipstack.features import SkipSchedule, mifs_stack
@@ -43,6 +43,7 @@ BASE_CONFIG = {
 }
 
 ALLOWED_SVG_TAGS = {"svg", "path", "line", "text"}
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def write_config(directory: Path, **overrides) -> Path:
@@ -159,6 +160,50 @@ class TestSimulationVerbs:
         records = json.loads((out / "bounds.json").read_text())
         assert not (out / "bounds.csv").exists()
         assert set(records[0]) == {"case", "tau", "t", "lower", "upper", "delta_tau"}
+
+    def test_sim_bounds_rows_are_the_library_bounds(self, tmp_path):
+        """On README's quick-start config every row holds exactly what
+        theorem1_bounds (per level) and theorem2_bounds (stacked) return."""
+        text = README.read_text()
+        quick_start = json.loads(text.split("```json\n", 1)[1].split("```", 1)[0])
+        cfg = tmp_path / "exp.json"
+        cfg.write_text(json.dumps(quick_start))
+        out = tmp_path / "out"
+        assert run(cfg, out, "sim-bounds") == 0
+        config = load_config(cfg)
+        schedule = schedule_of(config)
+        g1, gk = config.gammas[0], config.gammas[-1]
+        expected = [
+            theorem1_bounds(
+                g1, gk, config.c, schedule.tau(l), config.k, schedule.budget(l), config.delta
+            )
+            for l in schedule.included_levels
+        ] + [theorem2_bounds(config.gammas, config.c, schedule, config.delta)]
+        rows = read_rows(out / "bounds.csv")
+        assert [row["case"] for row in rows] == ["level 0", "level 1", "level 2", "stacked"]
+        for row, report in zip(rows, expected):
+            assert float(row["lower"]) == report.bound_lower
+            assert float(row["upper"]) == report.bound_upper
+            assert float(row["delta_tau"]) == report.delta_tau
+
+    @pytest.mark.parametrize(
+        "verb, overrides, message",
+        [
+            ("sim-bounds", dict(gammas=[]), "gammas must have length k=4"),
+            ("sim-bounds", dict(gammas=[1, 1, 8], k=4), "gammas must have length k=4"),
+            ("sim-bounds", dict(gammas=[-10] * 4, base_tau=1e-4), "gammas must be positive"),
+            ("sim-bounds", dict(c=3.0), "c must lie in [0, 1)"),
+            # each level's budget is finite, but their float sum overflows
+            ("sim-bounds", dict(base_tau=1.1125369292536007e-308, levels=3), "not finite"),
+            ("cost-report", dict(base_tau=5e-324), "no finite sample budget"),
+            ("sim-bounds", dict(base_tau=5e-324), "no finite sample budget"),
+            ("bernstein-check", dict(base_tau=5e-324), "no finite sample budget"),
+        ],
+    )
+    def test_bad_theory_input_exit_2(self, tmp_path, capsys, verb, overrides, message):
+        assert run(write_config(tmp_path, **overrides), tmp_path / "out", verb) == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and message in err
 
     def test_bernstein_check_reports_exceedance(self, tmp_path):
         cfg = write_config(tmp_path, trials=200)
@@ -477,7 +522,7 @@ class TestParser:
     def test_readme_flag_table_matches_the_parser(self):
         """README's per-command table lists every flag beyond the common
         ones on exactly the verbs that take it."""
-        lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+        lines = README.read_text().splitlines()
         start = lines.index("| flag | commands |") + 2
         documented: dict[str, set[str]] = {}
         for line in itertools.takewhile(lambda text: text.startswith("|"), lines[start:]):

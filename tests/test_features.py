@@ -6,6 +6,7 @@ import pytest
 from skipstack import container
 from skipstack.features import (
     SkipSchedule,
+    budget,
     build_feature_matrix,
     extract_series_descriptors,
     level_cost_report,
@@ -51,6 +52,13 @@ class TestSkipSchedule:
         with pytest.raises(ValueError, match="at least one level"):
             SkipSchedule(base_tau=1 / 10, levels=1, include=(False, False))
 
+    def test_non_finite_budget_rejected(self):
+        # 1 / 5e-324 overflows to inf, which has no integer floor
+        with pytest.raises(ValueError, match="no finite sample budget"):
+            budget(5e-324)
+        with pytest.raises(ValueError, match="no finite sample budget"):
+            SkipSchedule(base_tau=5e-324, levels=1).budget(1)
+
     def test_from_frames(self):
         s = SkipSchedule.from_frames(64, levels=1)
         assert s.base_tau == pytest.approx(1 / 64)
@@ -85,13 +93,9 @@ class TestBuildFeatureMatrix:
         resid = fm.f - model.xbar @ fm.p
         assert np.std(resid) == pytest.approx(0.5 * np.sqrt(2), rel=0.2)
 
-    def test_n_cols_override(self):
-        fm = build_feature_matrix(make_model(), tau=0.5, rng=stream(5), n_cols=300)
-        assert fm.p.shape[1] == 300
-
     def test_zero_budget_rejected(self):
         with pytest.raises(ValueError, match="T must be >= 1"):
-            build_feature_matrix(make_model(), tau=0.5, rng=stream(6), n_cols=0)
+            build_feature_matrix(make_model(), tau=1.5, rng=stream(6))
 
 
 class TestMifsStack:
@@ -106,14 +110,13 @@ class TestMifsStack:
         s = SkipSchedule(base_tau=1 / 100, levels=2)
         fm = mifs_stack(make_model(), s, seed=8)
         assert fm.columns == 100 + 50 + 33
-        assert list(np.unique(fm.level_of_column)) == [0, 1, 2]
 
     def test_masked_level_zero(self):
+        model = make_model()
         s = SkipSchedule(base_tau=1 / 100, levels=1, include=(False, True))
-        fm = mifs_stack(make_model(), s, seed=9)
+        fm = mifs_stack(model, s, seed=9)
         assert fm.columns == 50
-        assert set(fm.level_of_column) == {1}
-        np.testing.assert_allclose(fm.tau_of_column, 2 / 100)
+        assert np.array_equal(fm.p, build_feature_matrix(model, 2 / 100, stream(9, 1)).p)
 
     def test_levels_independent_of_mask(self):
         """A level's columns do not change when other levels are masked."""
@@ -124,15 +127,19 @@ class TestMifsStack:
             SkipSchedule(base_tau=1 / 60, levels=2, include=(False, True, False)),
             seed=10,
         )
-        assert np.array_equal(full.p[:, full.level_of_column == 1], masked.p)
+        # budgets 60, 30, 20: level 1 is columns 60:90 of the full stack
+        assert np.array_equal(full.p[:, 60:90], masked.p)
 
     def test_stack_equals_union_of_per_level_builds(self):
         model = make_model()
         s = SkipSchedule(base_tau=1 / 40, levels=2)
         stacked = mifs_stack(model, s, seed=11)
+        start = 0
         for level in range(3):
-            part = build_feature_matrix(model, s.tau(level), stream(11, level), level=level)
-            assert np.array_equal(stacked.p[:, stacked.level_of_column == level], part.p)
+            part = build_feature_matrix(model, s.tau(level), stream(11, level))
+            assert np.array_equal(stacked.p[:, start : start + s.budget(level)], part.p)
+            start += s.budget(level)
+        assert start == stacked.columns
 
 
 class TestSeriesDescriptors:

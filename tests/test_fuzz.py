@@ -12,7 +12,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from skipstack.cli import main
@@ -68,11 +68,17 @@ def mistyped_configs(draw):
 
 @st.composite
 def ranged_configs(draw):
-    """A tiny config with a few numeric fields moved to small, often invalid values."""
-    numeric = sorted(name for name, f in FIELDS.items() if f.type in ("int", "float"))
-    names = draw(st.lists(st.sampled_from(numeric), min_size=1, max_size=3, unique=True))
+    """A tiny config with a few numeric or list fields (``gammas``,
+    ``speeds``, ``exclude``) moved to small, often invalid values."""
+    ranged = sorted(name for name, f in FIELDS.items() if f.type != "str")
+    names = draw(st.lists(st.sampled_from(ranged), min_size=1, max_size=3, unique=True))
     values = st.integers(-3, 3) | st.floats(-2.0, 2.0, allow_nan=False)
-    changes = {name: draw(values.filter(lambda v, n=name: _fits(FIELDS[n].type, v))) for name in names}
+    changes = {}
+    for name in names:
+        kind = FIELDS[name].type
+        scalar = kind[6:-6] if kind.startswith("tuple[") else kind
+        value = values.filter(lambda v, s=scalar: _fits(s, v))
+        changes[name] = draw(st.lists(value, max_size=5) if scalar != kind else value)
     return {**TINY, **changes}
 
 
@@ -91,6 +97,10 @@ def test_mistyped_config_exits_2(config, verb):
 
 @FUZZ
 @given(config=ranged_configs(), verb=st.sampled_from(["model-gen", "cost-report", "sim-bounds", "dataset-gen"]))
+@example(config={**TINY, "gammas": []}, verb="sim-bounds")
+@example(config={**TINY, "gammas": [-10] * 4, "base_tau": 1e-4}, verb="sim-bounds")
+@example(config={**TINY, "base_tau": 5e-324}, verb="cost-report")
+@example(config={**TINY, "base_tau": 5e-324}, verb="sim-bounds")
 def test_out_of_range_config_never_raises(config, verb):
     with tempfile.TemporaryDirectory() as tmp:
         assert _run(Path(tmp), config, verb) in {0} | DOCUMENTED
