@@ -39,10 +39,10 @@ from .conditioning import (
 )
 from .config import ExperimentConfig, config_hash, load_config, schedule_of
 from .dataset import generate_dataset, load_dataset, save_dataset
-from .encoder import ConvergenceError, encode_dataset, fit_codec, save_codec
+from .encoder import ConvergenceError, save_codec
 from .features import SkipSchedule, level_cost_report, mifs_stack
 from .latent import new_model, save_model
-from .pipeline import extract_all, recognition_grid
+from .pipeline import encode, recognition_grid
 from .streams import stream
 from .svg import Series, bar_chart, line_chart
 
@@ -146,12 +146,13 @@ def cmd_model_gen(config: ExperimentConfig, out: Path, args) -> list[Path]:
 
 def cmd_sim_condition(config: ExperimentConfig, out: Path, args) -> list[Path]:
     model = _model_of(config)
+    schedule = schedule_of(config)
     cases = {
         "fixed": coverage_experiment(
-            model, config.schedule_base_tau, config.delta, config.trials, config.seed
+            model, schedule.base_tau, config.delta, config.trials, config.seed
         ),
         "stacked": coverage_experiment(
-            model, schedule_of(config), config.delta, config.trials, config.seed
+            model, schedule, config.delta, config.trials, config.seed
         ),
     }
     rows = [
@@ -214,9 +215,10 @@ def cmd_bernstein_check(config: ExperimentConfig, out: Path, args) -> list[Path]
 
 def cmd_spectrum(config: ExperimentConfig, out: Path, args) -> list[Path]:
     model = _model_of(config)
+    base_tau = schedule_of(config).base_tau
     rows = []
     for levels in range(config.levels + 1):
-        schedule = SkipSchedule(base_tau=config.schedule_base_tau, levels=levels)
+        schedule = SkipSchedule(base_tau=base_tau, levels=levels)
         stacked = mifs_stack(model, schedule, config.seed)
         curve = spectrum_curve(stacked)
         rows.extend(
@@ -234,9 +236,7 @@ def cmd_dataset_gen(config: ExperimentConfig, out: Path, args) -> list[Path]:
 def cmd_encode(config: ExperimentConfig, out: Path, args) -> list[Path]:
     data_path = Path(args.data) if args.data else out / "dataset.bin"
     ds = load_dataset(data_path)
-    descriptors = extract_all(ds, schedule_of(config, ds.frames), config.window)
-    codec = fit_codec([descriptors[i] for i in ds.train_idx], config, rng=stream(config.seed, 2))
-    encodings, zero_flags = encode_dataset(codec, descriptors)
+    codec, encodings, zero_flags = encode(ds, schedule_of(config, ds.frames), config, stream(config.seed, 2))
     codec_path = out / "codec.json"
     save_codec(codec, codec_path)
     header = {

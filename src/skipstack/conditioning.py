@@ -98,14 +98,16 @@ def _bounds(gamma1, gammak, k: int, c: float, taus, budgets, delta: float) -> Bo
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
     budgets = np.asarray(budgets, dtype=float)
-    total = float(budgets.sum())
-    t_min = math.ceil(k * math.log(2.0 * k / delta) / (9.0 * (1.0 + c)))
-    if not t_min <= total < math.inf:
-        raise ValueError(f"sample budget T={total:.0f} not finite or below the required minimum {t_min}")
-    weights = budgets / total
-    taus = np.asarray(taus, dtype=float)
-    w1 = float(np.sum(weights * np.exp(-gamma1 / taus)))
-    wk = float(np.sum(weights * np.exp(-gammak / taus)))
+    # overflow is harmless: an infinite T is rejected, exp(-inf) = 0 the limit
+    with np.errstate(over="ignore"):
+        total = float(budgets.sum())
+        t_min = math.ceil(k * math.log(2.0 * k / delta) / (9.0 * (1.0 + c)))
+        if not t_min <= total < math.inf:
+            raise ValueError(f"sample budget T={total:.0f} not finite or below the required minimum {t_min}")
+        weights = budgets / total
+        taus = np.asarray(taus, dtype=float)
+        w1 = float(np.sum(weights * np.exp(-gamma1 / taus)))
+        wk = float(np.sum(weights * np.exp(-gammak / taus)))
     d = 2.0 * math.sqrt(k * (1.0 / total) * (1.0 + c) * math.log(2.0 * k / delta))
     lower, upper = _sandwich(1.0 + c, w1, wk, d)
     return BoundReport(bound_lower=lower, bound_upper=upper, delta_tau=d)

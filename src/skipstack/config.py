@@ -115,16 +115,12 @@ class ExperimentConfig:
             if not ok:
                 raise ValueError(message)
 
-    @property
-    def schedule_base_tau(self) -> float:
-        return self.base_tau if self.base_tau > 0 else 1.0 / self.frames
-
 
 def schedule_of(config: ExperimentConfig, frames: int | None = None) -> SkipSchedule:
-    """The config's masked schedule; given ``frames``, the skips are read
-    off that series length (base_tau = 1/frames) instead."""
+    """The config's masked schedule and the one skip rule: base_tau = 1/frames
+    given ``frames``, else the config's base_tau, where 0 means 1/config.frames."""
     include = tuple(l not in config.exclude for l in range(config.levels + 1))
-    base_tau = 1.0 / frames if frames else config.schedule_base_tau
+    base_tau = 1.0 / frames if frames else (config.base_tau or 1.0 / config.frames)
     return SkipSchedule(base_tau=base_tau, levels=config.levels, include=include)
 
 

@@ -61,13 +61,6 @@ class SkipSchedule:
         if not any(self.include):
             raise ValueError("schedule must keep at least one level")
 
-    @classmethod
-    def from_frames(cls, frames: int, levels: int, include: tuple[bool, ...] = ()) -> "SkipSchedule":
-        """Schedule for a series of ``frames`` samples: base_tau = 1/frames."""
-        if frames < 1:
-            raise ValueError(f"frames must be >= 1, got {frames}")
-        return cls(base_tau=1.0 / frames, levels=levels, include=include)
-
     def tau(self, level: int) -> float:
         if not 0 <= level <= self.levels:
             raise ValueError(f"level must lie in [0, {self.levels}], got {level}")
@@ -108,10 +101,6 @@ class FeatureMatrix:
             self.f = np.asarray(self.f, dtype=float)
             if self.f.shape[1] != t:
                 raise ValueError("f must have the same column count as p")
-
-    @property
-    def columns(self) -> int:
-        return self.p.shape[1]
 
 
 @dataclass

@@ -1,10 +1,11 @@
 """End-to-end recognition runs: extract, encode, train, evaluate.
 
-The grid runner reproduces the level-comparison experiment shape: each
-single level on its own versus the stacked schedules, all sharing one
-dataset and seed so the comparison is paired. A run has three stages:
-extract and encode each schedule, train the one-vs-all classifiers of
-every schedule in one batched solver call, then evaluate each schedule.
+``encode`` is the one encode stage, shared by the ``encode`` verb and the
+grid runner. The grid reproduces the level-comparison experiment shape:
+each single level on its own versus the stacked schedules, all sharing
+one dataset and seed so the comparison is paired. It encodes each
+schedule, trains the one-vs-all classifiers of every schedule in one
+batched solver call, then evaluates each schedule.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 from .classify import EvalReport, evaluate, svm_train_many
 from .config import ExperimentConfig, schedule_of
 from .dataset import SyntheticActionDataset
-from .encoder import encode_dataset, fit_codec
+from .encoder import FisherCodec, encode_dataset, fit_codec
 from .features import (
     SeriesDescriptorSet,
     SkipSchedule,
@@ -33,16 +34,6 @@ class RecognitionRun:
     cost_total: float
 
 
-def single_level_schedule(frames: int, level: int) -> SkipSchedule:
-    """Schedule reading only level ``level`` (mask drops everything below)."""
-    include = tuple(l == level for l in range(level + 1))
-    return SkipSchedule.from_frames(frames, level, include)
-
-
-def mifs_schedule(frames: int, levels: int) -> SkipSchedule:
-    return SkipSchedule.from_frames(frames, levels)
-
-
 def extract_all(
     dataset: SyntheticActionDataset, schedule: SkipSchedule, window: int
 ) -> list[SeriesDescriptorSet]:
@@ -52,27 +43,24 @@ def extract_all(
     ]
 
 
-def _encode(
+def encode(
     dataset: SyntheticActionDataset,
     schedule: SkipSchedule,
     config: ExperimentConfig,
-    salt: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Train and test encodings, the codec fit on the training split only."""
+    rng,
+) -> tuple[FisherCodec, np.ndarray, np.ndarray]:
+    """The codec fit on the training split, then each sample's encoding and
+    zero flag; a sample's row does not depend on the other samples."""
     descriptors = extract_all(dataset, schedule, config.window)
-    train_descs = [descriptors[i] for i in dataset.train_idx]
-    test_descs = [descriptors[i] for i in dataset.test_idx]
-    codec = fit_codec(train_descs, config, rng=stream(config.seed, 2, salt))
-    x_train, _ = encode_dataset(codec, train_descs)
-    x_test, _ = encode_dataset(codec, test_descs)
-    return x_train, x_test
+    codec = fit_codec([descriptors[i] for i in dataset.train_idx], config, rng=rng)
+    encodings, zero_flags = encode_dataset(codec, descriptors)
+    return codec, encodings, zero_flags
 
 
-def grid_schedules(frames: int, max_level: int) -> list[SkipSchedule]:
+def grid_schedules(base_tau: float, max_level: int) -> list[SkipSchedule]:
     """Single levels 0..max_level followed by stacks L=1..max_level."""
-    return [single_level_schedule(frames, level) for level in range(max_level + 1)] + [
-        mifs_schedule(frames, levels) for levels in range(1, max_level + 1)
-    ]
+    singles = [SkipSchedule(base_tau, n, tuple(l == n for l in range(n + 1))) for n in range(max_level + 1)]
+    return singles + [SkipSchedule(base_tau, levels) for levels in range(1, max_level + 1)]
 
 
 def recognition_grid(
@@ -81,23 +69,22 @@ def recognition_grid(
     """One run per grid schedule up to ``config.levels`` plus the config's
     masked schedule if new, keyed by label. Schedule i runs with salt i, so
     a schedule's result does not depend on which schedules follow it."""
-    schedules = grid_schedules(dataset.frames, config.levels)
-    if config.exclude:
-        masked = schedule_of(config, dataset.frames)
-        if masked.label not in {schedule.label for schedule in schedules}:
-            schedules.append(masked)
-    encoded = [_encode(dataset, schedule, config, salt) for salt, schedule in enumerate(schedules)]
+    masked = schedule_of(config, dataset.frames)
+    schedules = grid_schedules(masked.base_tau, config.levels)
+    if masked.label not in {schedule.label for schedule in schedules}:
+        schedules.append(masked)
+    encoded = [encode(dataset, s, config, stream(config.seed, 2, salt))[1] for salt, s in enumerate(schedules)]
     y_train = dataset.labels[dataset.train_idx]
     classifiers = svm_train_many(
-        [x_train for x_train, _ in encoded],
+        [x[dataset.train_idx] for x in encoded],
         [(salt, y_train, config.svm_c, (config.seed, 3, salt)) for salt in range(len(schedules))],
     )
     y_test = dataset.labels[dataset.test_idx]
     return {
         schedule.label: RecognitionRun(
             label=schedule.label,
-            report=evaluate(classifier, x_test, y_test),
+            report=evaluate(classifier, x[dataset.test_idx], y_test),
             cost_total=level_cost_report(schedule).total_relative,
         )
-        for schedule, classifier, (_, x_test) in zip(schedules, classifiers, encoded)
+        for schedule, classifier, x in zip(schedules, classifiers, encoded)
     }

@@ -11,6 +11,7 @@ import hashlib
 import itertools
 import json
 import re
+import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -22,8 +23,10 @@ from skipstack.conditioning import spectrum_curve, theorem1_bounds, theorem2_bou
 from skipstack.config import config_hash, load_config, schedule_of
 from skipstack.dataset import load_dataset
 from skipstack.encoder import ConvergenceError
-from skipstack.features import SkipSchedule, mifs_stack
+from skipstack.features import SkipSchedule, budget, mifs_stack
 from skipstack.latent import load_model, new_model
+from skipstack.pipeline import encode
+from skipstack.streams import stream
 
 # small enough that the full verb chain stays in the seconds range
 BASE_CONFIG = {
@@ -57,6 +60,16 @@ def write_config(directory: Path, **overrides) -> Path:
 def run(cfg: Path, out: Path, *argv: str) -> int:
     command, *rest = argv
     return main([command, "--config", str(cfg), "--out", str(out), *rest])
+
+
+def run_for_stderr(capsys, cfg: Path, out: Path, *argv: str) -> tuple[int, list[str]]:
+    """run() plus the lines a shell user would see on stderr, the
+    Python warnings that pytest would otherwise capture included."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run(cfg, out, *argv)
+    shown = [f"{w.category.__name__}: {w.message}" for w in caught]
+    return code, shown + capsys.readouterr().err.splitlines()
 
 
 def read_rows(path: Path) -> list[dict]:
@@ -201,9 +214,19 @@ class TestSimulationVerbs:
         ],
     )
     def test_bad_theory_input_exit_2(self, tmp_path, capsys, verb, overrides, message):
-        assert run(write_config(tmp_path, **overrides), tmp_path / "out", verb) == 2
-        err = capsys.readouterr().err
-        assert err.count("error:") == 1 and message in err
+        code, err = run_for_stderr(capsys, write_config(tmp_path, **overrides), tmp_path / "out", verb)
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("error:") and message in err[0]
+
+    def test_tiny_skip_bounds_are_written_quietly(self, tmp_path, capsys):
+        # gamma_k / tau = 8 / 2e-308 overflows to inf; exp(-inf) = 0, so the
+        # upper bound is inf and nothing is worth a warning
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, gammas=None, base_tau=2e-308, levels=0)
+        assert run_for_stderr(capsys, cfg, out, "sim-bounds") == (0, [])
+        row = f"2e-308,{budget(2e-308)},1.0,inf,1.241963516132904e-153\n"
+        header = "case,tau,t,lower,upper,delta_tau\n"
+        assert (out / "bounds.csv").read_text() == header + "level 0," + row + "stacked," + row
 
     def test_bernstein_check_reports_exceedance(self, tmp_path):
         cfg = write_config(tmp_path, trials=200)
@@ -251,6 +274,14 @@ class TestDataVerbs:
         # matrix payload convention: little-endian 32-bit floats
         assert len(payload) == 24 * header["cols"] * 4
 
+    def test_encodings_are_the_encode_stage(self, chain):
+        config = load_config(chain.parent / "config.json")
+        ds = load_dataset(chain / "dataset.bin")
+        _, x, zero_flags = encode(ds, schedule_of(config, ds.frames), config, stream(config.seed, 2))
+        line, payload = (chain / "encodings.bin").read_bytes().split(b"\n", 1)
+        assert payload == x.astype("<f4").tobytes()
+        assert json.loads(line)["zero_flags"] == [int(flag) for flag in zero_flags]
+
     def test_eval_keys_are_exactly_the_contract(self, chain):
         report = json.loads((chain / "eval.json").read_text())
         assert set(report) == {"macc", "map", "per_class"}
@@ -278,7 +309,7 @@ class TestDataVerbs:
         def explode(*args, **kwargs):
             raise ConvergenceError("mixture fit did not converge")
 
-        monkeypatch.setattr("skipstack.cli.fit_codec", explode)
+        monkeypatch.setattr("skipstack.pipeline.fit_codec", explode)
         assert run(cfg, out, "encode") == 3
         assert "converge" in capsys.readouterr().err
 

@@ -111,11 +111,11 @@ class TestValidation:
 
     def test_frames_derive_base_tau_when_unset(self):
         config = ExperimentConfig(seed=0, base_tau=0.0, frames=50)
-        assert config.schedule_base_tau == pytest.approx(1.0 / 50)
+        assert schedule_of(config).base_tau == pytest.approx(1.0 / 50)
 
     def test_explicit_base_tau_wins(self):
         config = ExperimentConfig(seed=0, base_tau=0.02, frames=50)
-        assert config.schedule_base_tau == 0.02
+        assert schedule_of(config).base_tau == 0.02
 
 
 class TestAdapters:

@@ -142,7 +142,7 @@ def assert_same_gmm(got: GmmModel, want: GmmModel) -> None:
 
 def toy_descriptor_sets(n_sets=6, frames=64, channels=3, seed=0):
     rng = np.random.default_rng(seed)
-    sched = SkipSchedule.from_frames(frames, 1)
+    sched = SkipSchedule(1.0 / frames, 1)
     return [
         extract_series_descriptors(rng.normal(size=(frames, channels)), sched, window=4)
         for _ in range(n_sets)

@@ -59,8 +59,8 @@ class TestSkipSchedule:
         with pytest.raises(ValueError, match="no finite sample budget"):
             SkipSchedule(base_tau=5e-324, levels=1).budget(1)
 
-    def test_from_frames(self):
-        s = SkipSchedule.from_frames(64, levels=1)
+    def test_skip_of_one_frame(self):
+        s = SkipSchedule(1.0 / 64, levels=1)
         assert s.base_tau == pytest.approx(1 / 64)
         assert s.budget(0) == 64
 
@@ -109,13 +109,13 @@ class TestMifsStack:
     def test_stacked_column_count(self):
         s = SkipSchedule(base_tau=1 / 100, levels=2)
         fm = mifs_stack(make_model(), s, seed=8)
-        assert fm.columns == 100 + 50 + 33
+        assert fm.p.shape[1] == 100 + 50 + 33
 
     def test_masked_level_zero(self):
         model = make_model()
         s = SkipSchedule(base_tau=1 / 100, levels=1, include=(False, True))
         fm = mifs_stack(model, s, seed=9)
-        assert fm.columns == 50
+        assert fm.p.shape[1] == 50
         assert np.array_equal(fm.p, build_feature_matrix(model, 2 / 100, stream(9, 1)).p)
 
     def test_levels_independent_of_mask(self):
@@ -139,24 +139,24 @@ class TestMifsStack:
             part = build_feature_matrix(model, s.tau(level), stream(11, level))
             assert np.array_equal(stacked.p[:, start : start + s.budget(level)], part.p)
             start += s.budget(level)
-        assert start == stacked.columns
+        assert start == stacked.p.shape[1]
 
 
 class TestSeriesDescriptors:
     def test_constant_series_gives_zero_descriptors(self):
         series = np.ones((40, 3))
-        ds = extract_series_descriptors(series, SkipSchedule.from_frames(40, 1), window=4)
+        ds = extract_series_descriptors(series, SkipSchedule(1.0 / 40, 1), window=4)
         assert not ds.descriptors.any()
 
     def test_linear_series_gives_constant_slope(self):
         k = 30
         series = np.linspace(0.0, 1.0, k)
-        ds = extract_series_descriptors(series, SkipSchedule.from_frames(k, 0), window=2)
+        ds = extract_series_descriptors(series, SkipSchedule(1.0 / k, 0), window=2)
         np.testing.assert_allclose(ds.descriptors, 1 / (k - 1), atol=1e-12)
 
     def test_descriptor_dimension_and_locations(self):
         series = np.random.default_rng(0).normal(size=(64, 2))
-        ds = extract_series_descriptors(series, SkipSchedule.from_frames(64, 2), window=5)
+        ds = extract_series_descriptors(series, SkipSchedule(1.0 / 64, 2), window=5)
         assert ds.descriptors.shape[1] == 5 * 2
         assert ds.locations.min() > 0 and ds.locations.max() < 1
         assert set(ds.level_of_row) == {0, 1, 2}
@@ -166,8 +166,8 @@ class TestSeriesDescriptors:
         k = 64
         slow = np.sin(2 * np.pi * np.arange(k) / 32.0)
         fast = np.sin(2 * np.pi * np.arange(k // 2) / 16.0)
-        sched1 = SkipSchedule.from_frames(k, 1, include=(False, True))
-        sched0 = SkipSchedule.from_frames(k // 2, 0)
+        sched1 = SkipSchedule(1.0 / k, 1, include=(False, True))
+        sched0 = SkipSchedule(1.0 / (k // 2), 0)
         a = extract_series_descriptors(slow, sched1, window=4)
         b = extract_series_descriptors(fast, sched0, window=4)
         np.testing.assert_allclose(a.descriptors, b.descriptors, atol=1e-9)
@@ -182,11 +182,11 @@ class TestSeriesDescriptors:
         compressed = series[::s]
         deep = extract_series_descriptors(
             series,
-            SkipSchedule.from_frames(k, s - 1, include=tuple(l == s - 1 for l in range(s))),
+            SkipSchedule(1.0 / k, s - 1, include=tuple(l == s - 1 for l in range(s))),
             window=6,
         )
         flat = extract_series_descriptors(
-            compressed, SkipSchedule.from_frames(k // s, 0), window=6
+            compressed, SkipSchedule(1.0 / (k // s), 0), window=6
         )
         assert np.array_equal(deep.descriptors, flat.descriptors)
         assert np.array_equal(deep.locations, flat.locations)
@@ -194,7 +194,7 @@ class TestSeriesDescriptors:
     def test_short_series_rejected(self):
         with pytest.raises(ValueError, match="shorter than one window"):
             extract_series_descriptors(
-                np.zeros((8, 1)), SkipSchedule.from_frames(8, 3), window=4
+                np.zeros((8, 1)), SkipSchedule(1.0 / 8, 3), window=4
             )
 
 

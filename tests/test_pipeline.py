@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
-from skipstack.config import ExperimentConfig
+from skipstack.classify import evaluate, svm_train
+from skipstack.config import ExperimentConfig, schedule_of
 from skipstack.dataset import generate_dataset
 from skipstack.features import SkipSchedule, level_cost_report
-from skipstack.pipeline import mifs_schedule, recognition_grid, single_level_schedule
+from skipstack.pipeline import encode, grid_schedules, recognition_grid
+from skipstack.streams import stream
 
 
 def tiny_config(**overrides):
@@ -31,14 +33,14 @@ def tiny_dataset():
 
 class TestSchedules:
     def test_single_level_masks_everything_below(self):
-        schedule = single_level_schedule(48, 2)
+        schedule = grid_schedules(1.0 / 48, 2)[2]
         assert schedule.included_levels == (2,)
         assert schedule.label == "L=2-0-1"
 
     def test_mifs_keeps_all_levels(self):
-        schedule = mifs_schedule(48, 2)
+        schedule = grid_schedules(1.0 / 48, 2)[-1]
         assert schedule.included_levels == (0, 1, 2)
-        assert schedule.base_tau == pytest.approx(1.0 / 48)
+        assert schedule.base_tau == 1.0 / 48
 
 
 def assert_same_report(a, b):
@@ -98,3 +100,22 @@ class TestGrid:
         assert list(runs) == [*grid, masked.label]
         for label, run in grid.items():
             assert_same_report(runs[label], run)
+
+    def test_grid_is_its_stages(self, tiny_dataset):
+        """Schedule i of the grid is encode with salt i, a one-vs-all train
+        seeded (seed, 3, i) on the training rows, then evaluate on the test
+        rows; the batched solver changes nothing."""
+        config = tiny_config(levels=2, exclude=(0,))
+        grid = recognition_grid(tiny_dataset, config)
+        schedules = grid_schedules(1.0 / 48, 2) + [schedule_of(config, tiny_dataset.frames)]
+        assert list(grid) == [schedule.label for schedule in schedules]
+        train, test, y = tiny_dataset.train_idx, tiny_dataset.test_idx, tiny_dataset.labels
+        for i, schedule in enumerate(schedules):
+            _, x, _ = encode(tiny_dataset, schedule, config, stream(config.seed, 2, i))
+            clf = svm_train(x[train], y[train], c=config.svm_c, seed=(config.seed, 3, i))
+            report = evaluate(clf, x[test], y[test])
+            want = grid[schedule.label].report
+            assert report.macc == want.macc
+            assert report.mean_ap == want.mean_ap
+            assert report.per_class == want.per_class
+            assert np.array_equal(report.confusion, want.confusion)
