@@ -98,6 +98,7 @@ def _write_manifest(out: Path, command: str, config: ExperimentConfig, outputs: 
     manifest = {
         "command": command,
         "config_sha256": config_hash(config),
+        "numpy": np.__version__,
         "outputs": {path.name: _sha256(path) for path in sorted(outputs)},
         "version": __version__,
     }

@@ -35,11 +35,12 @@ class RecognitionRun:
 
 
 def extract_all(
-    dataset: SyntheticActionDataset, schedule: SkipSchedule, window: int
+    dataset: SyntheticActionDataset, idx: np.ndarray, schedule: SkipSchedule, window: int
 ) -> list[SeriesDescriptorSet]:
+    """Descriptor sets of the samples ``idx``, in that order."""
     return [
-        extract_series_descriptors(sample, schedule, window)
-        for sample in dataset.series
+        extract_series_descriptors(dataset.series[i], schedule, window)
+        for i in idx
     ]
 
 
@@ -50,10 +51,16 @@ def encode(
     rng,
 ) -> tuple[FisherCodec, np.ndarray, np.ndarray]:
     """The codec fit on the training split, then each sample's encoding and
-    zero flag; a sample's row does not depend on the other samples."""
-    descriptors = extract_all(dataset, schedule, config.window)
-    codec = fit_codec([descriptors[i] for i in dataset.train_idx], config, rng=rng)
-    encodings, zero_flags = encode_dataset(codec, descriptors)
+    zero flag; a sample's row does not depend on the other samples.
+
+    The test samples are extracted only after the fit, so their descriptors
+    never coexist with the fit's pooled copy of the training descriptors.
+    """
+    train = extract_all(dataset, dataset.train_idx, schedule, config.window)
+    codec = fit_codec(train, config, rng=rng)
+    test = extract_all(dataset, dataset.test_idx, schedule, config.window)
+    by_sample = dict(zip([*dataset.train_idx.tolist(), *dataset.test_idx.tolist()], train + test))
+    encodings, zero_flags = encode_dataset(codec, [by_sample[i] for i in range(len(by_sample))])
     return codec, encodings, zero_flags
 
 

@@ -2,9 +2,16 @@
 
 Every stochastic routine in this package draws from a numpy Generator that is
 either passed in directly or derived from an integer seed plus a structured
-key (level index, trial index, ...). Streams derived from distinct keys are
-independent, so a result depends only on its own key, not on what else was
-drawn before it.
+key (level index, trial index, ...), so a result depends only on its own
+key, not on what else was drawn before it.
+
+Keys are hashed by ``np.random.SeedSequence``, which pads its entropy with
+zeros, so keys that differ only by trailing zeros give the same stream:
+``stream(0, 2)``, ``stream(0, 2, 0)`` and ``stream((0, 2), 0)`` draw the
+same numbers; the grid's salt-0 codec stream is the ``encode`` verb's.
+Other distinct keys give independent streams. The derivation stays as it
+is, since changing it would move every output, so a new key must not
+differ from an existing one only by trailing zeros.
 """
 from __future__ import annotations
 

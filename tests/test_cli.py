@@ -90,7 +90,9 @@ class TestModelGen:
         model = load_model(out / "model.json")
         assert model.xbar.shape == (8, 4)
         manifest = json.loads((out / "model-gen-manifest.json").read_text())
+        assert set(manifest) == {"command", "config_sha256", "numpy", "outputs", "version"}
         assert manifest["command"] == "model-gen"
+        assert manifest["numpy"] == np.__version__
         expected = load_config(cfg, {"out_dir": str(out)})
         assert manifest["config_sha256"] == config_hash(expected)
         digest = hashlib.sha256((out / "model.json").read_bytes()).hexdigest()

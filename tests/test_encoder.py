@@ -192,6 +192,70 @@ class TestPca:
             pca_apply(t, np.zeros((3, 7)))
 
 
+def _correlated(n: int, d: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=(n, d)) @ rng.normal(size=(d, d)) + rng.normal(size=d) * 5.0
+
+
+def _direct_pca(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Projection and explained ratio from the SVD of the centered data
+    itself, with the largest-magnitude-entry-positive sign rule."""
+    _, svals, vt = np.linalg.svd(data - data.mean(axis=0), full_matrices=False)
+    keep = (data.shape[1] + 1) // 2
+    components = vt[:keep]
+    signs = np.sign(components[np.arange(keep), np.argmax(np.abs(components), axis=1)])
+    variances = svals**2
+    return (components * signs[:, None]).T, variances[:keep] / variances.sum()
+
+
+class TestPcaRoute:
+    """The fit takes the SVD of the QR factor R, not of the N x D data."""
+
+    @pytest.mark.parametrize("shape", [(40, 4), (500, 18), (17_600, 18)])
+    def test_tall_data_matches_the_direct_svd_bit_for_bit(self, shape):
+        # LAPACK's dgesdd runs the same QR first once N >= 11D/6
+        data = _correlated(*shape, seed=shape[0])
+        t = pca_fit(data)
+        projection, ratio = _direct_pca(data)
+        assert np.array_equal(t.mean, data.mean(axis=0))
+        assert np.array_equal(t.projection, projection)
+        assert np.array_equal(t.explained_ratio, ratio)
+
+    @pytest.mark.parametrize("n", [19, 25, 32])
+    def test_barely_tall_data_is_close_to_the_direct_svd(self, n):
+        # below 11D/6 rows (33 at D = 18) dgesdd skips the QR, so the last
+        # bits may differ
+        data = _correlated(n, 18, seed=n)
+        t = pca_fit(data)
+        projection, ratio = _direct_pca(data)
+        np.testing.assert_allclose(t.projection.T @ t.projection, np.eye(9), atol=1e-12)
+        np.testing.assert_allclose(t.projection, projection, atol=1e-9)
+        np.testing.assert_allclose(t.explained_ratio, ratio, rtol=1e-10)
+
+    def test_svd_sees_only_the_triangular_factor(self, monkeypatch):
+        shapes = []
+        svd = np.linalg.svd
+
+        def recording(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recording)
+        pca_fit(_correlated(500, 18, seed=3))
+        assert shapes == [(18, 18)]
+
+    def test_overwrite_centers_in_place_and_projects_like_apply(self):
+        data = _correlated(300, 9, seed=7)
+        pool = data.copy()
+        t = pca_fit(pool, overwrite_data=True)
+        kept = pca_fit(data)
+        assert np.array_equal(data, _correlated(300, 9, seed=7))
+        for field in ("mean", "projection", "explained_ratio"):
+            assert np.array_equal(getattr(t, field), getattr(kept, field))
+        assert np.array_equal(pool, data - t.mean)
+        assert np.array_equal(pool @ t.projection, pca_apply(t, data))
+
+
 class TestGmmFit:
     def test_two_clusters_recovered(self):
         rng = np.random.default_rng(5)

@@ -1,13 +1,16 @@
 """Smoke and determinism tests for the end-to-end recognition runner."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from skipstack.classify import evaluate, svm_train
 from skipstack.config import ExperimentConfig, schedule_of
 from skipstack.dataset import generate_dataset
-from skipstack.features import SkipSchedule, level_cost_report
-from skipstack.pipeline import encode, grid_schedules, recognition_grid
+from skipstack.encoder import encode_sample, fit_codec
+from skipstack.features import SkipSchedule, extract_series_descriptors, level_cost_report
+from skipstack.pipeline import encode, extract_all, grid_schedules, recognition_grid
 from skipstack.streams import stream
 
 
@@ -49,6 +52,50 @@ def assert_same_report(a, b):
     assert a.report.per_class == b.report.per_class
     assert np.array_equal(a.report.confusion, b.report.confusion)
     assert a.cost_total == b.cost_total
+
+
+class TestEncodeStage:
+    @pytest.mark.parametrize(
+        "overrides",
+        [dict(levels=1), dict(levels=3), dict(levels=3, exclude=(1,), train_budget=500)],
+    )
+    def test_equals_fit_on_train_then_encode_each_sample(self, tiny_dataset, overrides):
+        """Extracting the training split first changes no bit: the codec is
+        fit_codec on the training sets, and every row, train and test, is
+        that sample's own encode_sample."""
+        config = tiny_config(**overrides)
+        schedule = schedule_of(config, tiny_dataset.frames)
+        codec, x, zero_flags = encode(tiny_dataset, schedule, config, stream(config.seed, 2))
+        sets = [extract_series_descriptors(s, schedule, config.window) for s in tiny_dataset.series]
+        want = fit_codec([sets[i] for i in tiny_dataset.train_idx], config, rng=stream(config.seed, 2))
+        for part in ("pca", "gmm"):
+            for name, value in vars(getattr(want, part)).items():
+                assert np.array_equal(getattr(getattr(codec, part), name), value), (part, name)
+        assert x.shape == (len(sets), want.encoding_dim)
+        for row, ds in zip(x, sets):
+            assert np.array_equal(row, encode_sample(want, ds).vector)
+        assert not zero_flags.any()
+
+    def test_codec_fit_holds_one_copy_of_the_pool(self):
+        """The fit's traced peak stays near one pool plus the QR's input copy:
+        a second centered copy adds a whole pool (3.06x before the fit
+        centered in place). A returning left factor is guarded by the PCA
+        route's SVD-shape test instead, since numpy traces it like the
+        QR's copy."""
+        config = ExperimentConfig(
+            seed=0, samples_per_cell=20, frames=192, levels=3, gmm_components=4, train_budget=2000
+        )
+        dataset = generate_dataset(config)
+        assert dataset.series.shape[0] == 300
+        sets = extract_all(dataset, dataset.train_idx, schedule_of(config, dataset.frames), config.window)
+        pool_bytes = sum(ds.descriptors.nbytes for ds in sets)
+        tracemalloc.start()
+        try:
+            fit_codec(sets, config, rng=stream(config.seed, 2))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * pool_bytes
 
 
 class TestRunSchedule:
