@@ -52,28 +52,30 @@ class PcaTransform:
             raise ValueError("projection columns must be orthonormal")
 
 
-def pca_fit(data: np.ndarray, n_components: int = 0, overwrite_data: bool = False) -> PcaTransform:
+def pca_fit(data: np.ndarray, n_components: int = 0) -> PcaTransform:
     """Centered projection onto the top principal components.
 
     ``n_components`` 0 keeps the default ceil(D/2), halving the dimension
-    like the reference pipeline. With ``overwrite_data`` a float64 ``data``
-    is centered in place instead of in a copy, so a caller that owns a
-    large pool holds one copy of it; afterwards ``data @ projection`` is
-    ``pca_apply(transform, original)`` bit for bit.
+    like the reference pipeline. The fit consumes ``data``, a writable
+    float64 array: it is centered in place, so a caller that owns a large
+    pool holds one copy of it, and afterwards ``data @ projection`` is
+    ``pca_apply(transform, original)`` bit for bit. Pass a copy to keep
+    the original.
     """
-    data = np.asarray(data, dtype=float)
+    if not (isinstance(data, np.ndarray) and data.dtype == np.float64 and data.flags.writeable):
+        raise TypeError("pca_fit centers its data in place and needs a writable float64 array")
     n, d = data.shape
     if n <= d:
         raise ValueError(f"need more samples than dimensions to fit, got N={n}, D={d}")
     if not 0 <= n_components <= d:
         raise ValueError(f"n_components must lie in [0, {d}], got {n_components}")
     mean = data.mean(axis=0)
-    centered = np.subtract(data, mean, out=data if overwrite_data else None)
+    data -= mean
     # Right singular vectors of the centered data = covariance eigenvectors.
     # They are those of its D x D triangular factor R, so no N x D left
     # factor is formed. LAPACK's dgesdd runs this same QR first whenever
     # N >= 11D/6, so on tall data the bits are those of the direct SVD.
-    _, svals, vt = np.linalg.svd(np.linalg.qr(centered, mode="r"), full_matrices=False)
+    _, svals, vt = np.linalg.svd(np.linalg.qr(data, mode="r"), full_matrices=False)
     keep = n_components if n_components else (d + 1) // 2
     components = vt[:keep]
     # make each component's largest-magnitude entry positive so the fit is
@@ -334,7 +336,7 @@ def fit_codec(
     locations = np.concatenate([ds.locations for ds in pools])
     # the fit centers the pool in place, so the pool is held once and its
     # projection is pca_apply's, without a second centered copy
-    pca = pca_fit(pooled, config.pca_components, overwrite_data=True)
+    pca = pca_fit(pooled, config.pca_components)
     reduced = np.hstack([pooled @ pca.projection, locations[:, None]])
     if reduced.shape[0] > config.train_budget:
         pick = rng.choice(reduced.shape[0], size=config.train_budget, replace=False)

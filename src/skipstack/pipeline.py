@@ -59,8 +59,11 @@ def encode(
     train = extract_all(dataset, dataset.train_idx, schedule, config.window)
     codec = fit_codec(train, config, rng=rng)
     test = extract_all(dataset, dataset.test_idx, schedule, config.window)
-    by_sample = dict(zip([*dataset.train_idx.tolist(), *dataset.test_idx.tolist()], train + test))
-    encodings, zero_flags = encode_dataset(codec, [by_sample[i] for i in range(len(by_sample))])
+    sets = [None] * len(dataset.series)
+    for idx, part in ((dataset.train_idx, train), (dataset.test_idx, test)):
+        for i, ds in zip(idx, part):
+            sets[i] = ds
+    encodings, zero_flags = encode_dataset(codec, sets)
     return codec, encodings, zero_flags
 
 

@@ -154,7 +154,7 @@ class TestPca:
         rng = np.random.default_rng(0)
         basis = rng.normal(size=(3, 6))
         data = rng.normal(size=(50, 3)) @ basis
-        t = pca_fit(data)
+        t = pca_fit(data.copy())
         reduced = pca_apply(t, data)
         reconstructed = reduced @ t.projection.T + t.mean
         np.testing.assert_allclose(reconstructed, data, atol=1e-10)
@@ -172,7 +172,7 @@ class TestPca:
 
     def test_apply_is_deterministic_given_transform(self):
         data = np.random.default_rng(3).normal(size=(40, 4))
-        t = pca_fit(data)
+        t = pca_fit(data.copy())
         assert np.array_equal(pca_apply(t, data), pca_apply(t, data))
 
     def test_explicit_component_count(self):
@@ -215,7 +215,7 @@ class TestPcaRoute:
     def test_tall_data_matches_the_direct_svd_bit_for_bit(self, shape):
         # LAPACK's dgesdd runs the same QR first once N >= 11D/6
         data = _correlated(*shape, seed=shape[0])
-        t = pca_fit(data)
+        t = pca_fit(data.copy())
         projection, ratio = _direct_pca(data)
         assert np.array_equal(t.mean, data.mean(axis=0))
         assert np.array_equal(t.projection, projection)
@@ -226,7 +226,7 @@ class TestPcaRoute:
         # below 11D/6 rows (33 at D = 18) dgesdd skips the QR, so the last
         # bits may differ
         data = _correlated(n, 18, seed=n)
-        t = pca_fit(data)
+        t = pca_fit(data.copy())
         projection, ratio = _direct_pca(data)
         np.testing.assert_allclose(t.projection.T @ t.projection, np.eye(9), atol=1e-12)
         np.testing.assert_allclose(t.projection, projection, atol=1e-9)
@@ -244,16 +244,29 @@ class TestPcaRoute:
         pca_fit(_correlated(500, 18, seed=3))
         assert shapes == [(18, 18)]
 
-    def test_overwrite_centers_in_place_and_projects_like_apply(self):
+    def test_fit_centers_its_data_in_place_and_projects_like_apply(self):
         data = _correlated(300, 9, seed=7)
         pool = data.copy()
-        t = pca_fit(pool, overwrite_data=True)
-        kept = pca_fit(data)
-        assert np.array_equal(data, _correlated(300, 9, seed=7))
-        for field in ("mean", "projection", "explained_ratio"):
-            assert np.array_equal(getattr(t, field), getattr(kept, field))
+        t = pca_fit(pool)
+        assert np.array_equal(t.mean, data.mean(axis=0))
         assert np.array_equal(pool, data - t.mean)
         assert np.array_equal(pool @ t.projection, pca_apply(t, data))
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            np.ones((30, 4), dtype=np.float32),
+            np.ones((30, 4), dtype=np.int64),
+            np.ones((30, 4)).tolist(),
+            np.broadcast_to(np.ones(4), (30, 4)),
+        ],
+        ids=["float32", "int64", "list", "read-only"],
+    )
+    def test_fit_rejects_data_it_cannot_center_in_place(self, data):
+        # a private float64 copy would be centered instead, leaving the
+        # caller's array uncentered behind a projection that assumes it is
+        with pytest.raises(TypeError, match="writable float64"):
+            pca_fit(data)
 
 
 class TestGmmFit:
