@@ -13,11 +13,11 @@ exactly, so the objective never increases and the per-epoch trace is
 monotone by construction rather than by tuning.
 
 The binary problems of one call (every class, and in ``svm_train_many``
-every training set, such as all schedules of a recognition grid or every
-C of a cross-validation fold) are stepped together: each coordinate step
-is one array step with a row per problem. Each problem keeps the exact
-arithmetic of a lone run (its own coordinate order, matvec, bias step,
-objective and convergence test), so batching changes no bit of a model.
+every training set, such as all schedules of a recognition grid) are
+stepped together: each coordinate step is one array step with a row per
+problem. Each problem keeps the exact arithmetic of a lone run (its own
+coordinate order, matvec, bias step, objective and convergence test), so
+batching changes no bit of a model.
 
 Prediction takes the argmax of the per-class raw scores with the lowest
 class index breaking ties. Evaluation reports mean per-class accuracy and
@@ -34,10 +34,8 @@ import numpy as np
 
 from .streams import stream
 
-DEFAULT_C = 100.0
 SVM_EPOCHS = 200
 SVM_TOL = 1e-6
-C_GRID = (1e-3, 1e-2, 1e-1, 1.0, 1e1, 1e2, 1e3)
 
 
 @dataclass
@@ -217,7 +215,7 @@ class OneVsAllClassifier:
 def svm_train(
     x: np.ndarray,
     labels,
-    c: float = DEFAULT_C,
+    c: float,
     epochs: int = SVM_EPOCHS,
     tol: float = SVM_TOL,
     seed=0,
@@ -231,6 +229,8 @@ def svm_train_many(
 ) -> list[OneVsAllClassifier]:
     """One one-vs-all classifier per job ``(source, labels, c, seed)``,
     trained on the features ``xs[source]``; all of ``xs`` share one shape.
+    A recognition grid passes one job per schedule, each at the config's
+    ``svm_c``.
 
     The binary problems of every job are stepped together, and each
     classifier equals ``svm_train(xs[source], labels, c, epochs, tol, seed)``.
@@ -341,49 +341,6 @@ def evaluate(clf: OneVsAllClassifier, x: np.ndarray, labels) -> EvalReport:
         per_class=per_class,
         confusion=confusion,
     )
-
-
-def svm_train_cv(
-    x: np.ndarray,
-    labels,
-    folds: int = 5,
-    seed=0,
-) -> tuple[OneVsAllClassifier, float]:
-    """Pick C from ``C_GRID`` by stratified cross-validated mean accuracy,
-    then refit.
-
-    Ties prefer the smallest C. Returns the refit classifier and the
-    chosen C.
-    """
-    x = np.asarray(x, dtype=float)
-    labels = np.asarray(labels)
-    if folds < 2:
-        raise ValueError("need at least 2 folds")
-    rng = stream(seed, 0)
-    base = seed if isinstance(seed, tuple) else (seed,)
-    fold_of = np.empty(labels.size, dtype=int)
-    for cls in np.unique(labels):
-        members = np.flatnonzero(labels == cls)
-        members = members[rng.permutation(members.size)]
-        fold_of[members] = np.arange(members.size) % folds
-    fold_scores = [[] for _ in C_GRID]
-    for fold in range(folds):
-        train, val = fold_of != fold, fold_of == fold
-        if np.unique(labels[train]).size < 2 or not val.any():
-            continue
-        # the fold's whole C grid in one solver call
-        jobs = [(0, labels[train], c, (*base, fold)) for c in C_GRID]
-        for scores, clf in zip(fold_scores, svm_train_many([x[train]], jobs)):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                scores.append(evaluate(clf, x[val], labels[val]).macc)
-    best_c, best_score = None, -1.0
-    for c, scores in zip(C_GRID, fold_scores):
-        score = float(np.mean(scores)) if scores else 0.0
-        if score > best_score:
-            best_c, best_score = c, score
-    clf = svm_train(x, labels, best_c, seed=seed)
-    return clf, best_c
 
 
 def save_classifier(clf: OneVsAllClassifier, path) -> None:

@@ -28,7 +28,6 @@ from .classify import (
     load_classifier,
     save_classifier,
     svm_train,
-    svm_train_cv,
 )
 from .conditioning import (
     bernstein_coverage_test,
@@ -260,11 +259,7 @@ def _read_encodings(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
 def cmd_train(config: ExperimentConfig, out: Path, args) -> list[Path]:
     enc_path = Path(args.encodings) if args.encodings else out / "encodings.bin"
     matrix, labels, train_idx, _ = _read_encodings(enc_path)
-    x, y, seed = matrix[train_idx], labels[train_idx], (config.seed, 3)
-    if config.cv_folds > 0:
-        classifier, _ = svm_train_cv(x, y, folds=config.cv_folds, seed=seed)
-    else:
-        classifier = svm_train(x, y, c=config.svm_c, seed=seed)
+    classifier = svm_train(matrix[train_idx], labels[train_idx], c=config.svm_c, seed=(config.seed, 3))
     path = out / "classifier.json"
     save_classifier(classifier, path)
     return [path]

@@ -27,6 +27,16 @@ _IS = {
 }
 
 
+def _check_type(f, value) -> None:
+    """Raise unless ``value`` has the JSON type of field ``f``'s annotation."""
+    if f.type.startswith("tuple["):  # "tuple[int, ...]" checks each item as "int"
+        ok = isinstance(value, (list, tuple)) and all(map(_IS[f.type[6:-6]], value))
+    else:
+        ok = _IS[f.type](value)
+    if not ok:
+        raise ValueError(f"{f.name} must be of type {f.type}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Settings for the model, schedule, codec, classifier and harness."""
@@ -48,9 +58,8 @@ class ExperimentConfig:
     pca_components: int = 0
     gmm_components: int = 8
     train_budget: int = 20000
-    # classifier: cv_folds 0 trains at the fixed C, > 0 cross-validates
+    # classifier
     svm_c: float = 100.0
-    cv_folds: int = 0
     # experiment harness
     trials: int = 200
     delta: float = 0.1
@@ -67,13 +76,7 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            value = getattr(self, f.name)
-            if f.type.startswith("tuple["):  # "tuple[int, ...]" checks each item as "int"
-                ok = isinstance(value, (list, tuple)) and all(map(_IS[f.type[6:-6]], value))
-            else:
-                ok = _IS[f.type](value)
-            if not ok:
-                raise ValueError(f"{f.name} must be of type {f.type}, got {value!r}")
+            _check_type(f, getattr(self, f.name))
         for name in ("gammas", "speeds", "exclude"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
         speed = max(self.speeds, default=0)
@@ -92,7 +95,6 @@ class ExperimentConfig:
             (self.gmm_components >= 1, f"gmm_components must be >= 1, got {self.gmm_components}"),
             (self.train_budget >= 10 * self.gmm_components, "train_budget must be >= 10 * gmm_components"),
             (self.svm_c > 0, f"svm_c must be > 0, got {self.svm_c}"),
-            (self.cv_folds == 0 or self.cv_folds >= 2, f"cv_folds must be 0 or >= 2, got {self.cv_folds}"),
             (self.trials >= 1, f"trials must be >= 1, got {self.trials}"),
             (0.0 < self.delta < 1.0, f"delta must lie in (0, 1), got {self.delta}"),
             (self.n_classes >= 2, f"need at least 2 classes, got {self.n_classes}"),
@@ -136,10 +138,13 @@ def load_config(path=None, overrides: dict | None = None) -> ExperimentConfig:
             raise ValueError(f"config {path} is not valid JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise ValueError(f"config {path} must hold a JSON object")
-    known = {f.name for f in fields(ExperimentConfig)}
-    unknown = set(data) - known
+    known = {f.name: f for f in fields(ExperimentConfig)}
+    unknown = data.keys() - known.keys()
     if unknown:
         raise ValueError(f"unknown config fields: {', '.join(sorted(unknown))}")
+    # a flag must not hide a mistyped file value, so file values are checked first
+    for key, value in data.items():
+        _check_type(known[key], value)
     for key, value in (overrides or {}).items():
         if value is not None:
             data[key] = value

@@ -206,7 +206,8 @@ def gmm_fit(data: np.ndarray, k_components: int, rng=0) -> GmmModel:
     n, d = data.shape
     if n < 10 * k_components:
         raise ValueError(f"need at least {10 * k_components} points for K={k_components}, got {n}")
-    data_var = np.maximum(data.var(axis=0), np.finfo(float).tiny)
+    data_var = data.var(axis=0)
+    data_var[data_var < np.finfo(float).tiny] = 1.0  # unit scale keeps a constant column's floor positive
     floor = VARIANCE_FLOOR_RATIO * data_var
     gmm = GmmModel(
         weights=np.full(k_components, 1.0 / k_components),

@@ -21,7 +21,6 @@ from skipstack.classify import (
     predict,
     save_classifier,
     svm_train,
-    svm_train_cv,
     svm_train_many,
 )
 from skipstack.streams import stream
@@ -438,23 +437,6 @@ class TestEvaluate:
         scores = np.array([3.0, 2.0, 1.0])
         positives = np.array([True, False, True])
         assert _average_precision(scores, positives) == pytest.approx((1.0 + 2.0 / 3.0) / 2.0)
-
-
-class TestCrossValidation:
-    def test_picks_c_from_grid_and_is_deterministic(self):
-        x, y = blobs(seed=15, n=30)
-        clf_a, c_a = svm_train_cv(x, y, folds=3, seed=15)
-        clf_b, c_b = svm_train_cv(x, y, folds=3, seed=15)
-        assert c_a == c_b
-        assert c_a in (1e-3, 1e-2, 1e-1, 1.0, 1e1, 1e2, 1e3)
-        for ma, mb in zip(clf_a.models, clf_b.models):
-            assert np.array_equal(ma.w, mb.w)
-
-    def test_separable_data_stays_perfect(self):
-        x, y = blobs(seed=16, n=30)
-        clf, _ = svm_train_cv(x, y, folds=3, seed=16)
-        _, labels = predict(clf, x)
-        assert np.mean(labels == y) == 1.0
 
 
 class TestPersistence:

@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from skipstack.classify import save_classifier, svm_train
 from skipstack.cli import _build_parser, main
 from skipstack.conditioning import spectrum_curve, theorem1_bounds, theorem2_bounds
 from skipstack.config import config_hash, load_config, schedule_of
@@ -297,6 +298,14 @@ class TestDataVerbs:
                 recomputed = hashlib.sha256((chain / name).read_bytes()).hexdigest()
                 assert recomputed == digest
 
+    def test_constant_descriptor_column_encodes(self, tmp_path):
+        # one window per sample: every descriptor's location coordinate is 0.5
+        cfg = tmp_path / "config.json"
+        config = {"seed": 0, "levels": 0, "frames": 81, "window": 80, "channels": 1}
+        cfg.write_text(json.dumps(config))
+        for verb in ("dataset-gen", "encode"):
+            assert run(cfg, tmp_path / "out", verb) == 0
+
     def test_missing_dataset_exit_4(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         code = run(cfg, tmp_path / "out", "encode", "--data", str(tmp_path / "no.bin"))
@@ -402,6 +411,28 @@ class TestDataVerbs:
         assert message in capsys.readouterr().err
 
 
+class TestTrainVerb:
+    def test_classifier_is_svm_train_at_the_config_c(self, chain, tmp_path):
+        cfg = write_config(tmp_path, svm_c=2.5)
+        enc_path = chain / "encodings.bin"
+        assert run(cfg, tmp_path / "out", "train", "--encodings", str(enc_path)) == 0
+        line, payload = enc_path.read_bytes().split(b"\n", 1)
+        header = json.loads(line)
+        x = np.frombuffer(payload, dtype="<f4").reshape(-1, header["cols"]).astype(float)
+        labels, train_idx = np.asarray(header["labels"]), np.asarray(header["train_idx"])
+        config = load_config(cfg)
+        expected = tmp_path / "expected.json"
+        clf = svm_train(x[train_idx], labels[train_idx], c=config.svm_c, seed=(config.seed, 3))
+        save_classifier(clf, expected)
+        assert (tmp_path / "out" / "classifier.json").read_bytes() == expected.read_bytes()
+
+    def test_cv_folds_is_an_unknown_field(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run(write_config(tmp_path, cv_folds=3), out, "train") == 2
+        assert "unknown config fields: cv_folds" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestConfigErrors:
     @pytest.mark.parametrize(
         "verb, overrides, message",
@@ -419,6 +450,15 @@ class TestConfigErrors:
         assert run(write_config(tmp_path, **overrides), out, verb) == 2
         err = capsys.readouterr().err
         assert err.count("error:") == 1 and message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field, value", [("out_dir", 5), ("out_dir", None), ("seed", "x")])
+    def test_flags_do_not_hide_a_mistyped_file_value(self, tmp_path, capsys, field, value):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({**BASE_CONFIG, field: value}))
+        out = tmp_path / "out"
+        assert main(["model-gen", "--config", str(cfg), "--out", str(out), "--seed", "1"]) == 2
+        assert f"{field} must be of type" in capsys.readouterr().err
         assert not out.exists()
 
     def test_manifest_hash_ignores_the_output_directory(self, tmp_path):

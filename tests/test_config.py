@@ -1,12 +1,18 @@
 """Tests for experiment configuration loading, overrides and hashing."""
 
+import dataclasses
+import itertools
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from skipstack.config import ExperimentConfig, config_hash, load_config, schedule_of
 from skipstack.dataset import generate_dataset
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def write_config(tmp_path, **fields):
@@ -62,14 +68,14 @@ class TestValidation:
             (dict(levels=6), "levels"),
             (dict(trials=0), "trials"),
             (dict(delta=1.5), "delta"),
-            (dict(cv_folds=-1), "cv_folds"),
+            (dict(delta=0.0), "delta"),
             (dict(base_tau=-0.1), "base_tau"),
             (dict(gmm_components=0), "gmm_components"),
             (dict(gmm_components=4, train_budget=39), "train_budget"),
             (dict(pca_components=-1), "pca_components"),
             (dict(window=0), "window"),
             (dict(svm_c=0.0), "svm_c"),
-            (dict(cv_folds=1), "cv_folds"),
+            (dict(levels=0, exclude=(0,)), "keep at least one level"),
             (dict(seed=-1), "seed"),
             (dict(speeds=(5,)), "speeds"),
             (dict(levels=1, exclude=(7,)), "exclude"),
@@ -153,3 +159,15 @@ class TestHash:
         assert config_hash(ExperimentConfig(seed=0, trials=201)) != base
         # the hash names the experiment, not the directory it is written to
         assert config_hash(ExperimentConfig(seed=0, out_dir="elsewhere")) == base
+
+
+class TestReadme:
+    def test_readme_config_bullets_match_the_fields(self):
+        """README's Configuration bullets name every field but ``seed``, and
+        every snake_case name they backtick is a field."""
+        lines = README.read_text().splitlines()
+        section = lines[lines.index("## Configuration") + 1 :]
+        first = next(i for i, line in enumerate(section) if line.startswith("- "))
+        bullets = " ".join(itertools.takewhile(str.strip, section[first:]))
+        named = set(re.findall(r"`([a-z][a-z0-9_]*)`", bullets))
+        assert named == {f.name for f in dataclasses.fields(ExperimentConfig)} - {"seed"}

@@ -306,6 +306,15 @@ class TestGmmFit:
         np.testing.assert_allclose(masses, 1.0, atol=1e-12)
         assert enc._e_step(gmm, data, data**2)[1].sum() == pytest.approx(150.0, rel=1e-12)
 
+    def test_constant_column_gives_finite_parameters(self):
+        # one window per sample puts every location at exactly 0.5
+        data = np.random.default_rng(11).normal(size=(100, 3))
+        data[:, 1] = 0.5
+        gmm = gmm_fit(data, 2, rng=stream(11))
+        for values in (gmm.weights, gmm.means, gmm.variances, gmm.log_likelihood_trace):
+            assert np.isfinite(values).all()
+        assert np.all(gmm.means[:, 1] == 0.5)
+
     def test_requires_ten_points_per_component(self):
         with pytest.raises(ValueError, match="at least"):
             gmm_fit(np.zeros((19, 2)), 2)
