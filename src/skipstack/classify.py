@@ -12,8 +12,8 @@ minimizer at a breakpoint. Every coordinate step solves its subproblem
 exactly, so the objective never increases and the per-epoch trace is
 monotone by construction rather than by tuning.
 
-The binary problems of one call (every class, and in ``svm_train_many``
-every training set, such as all schedules of a recognition grid) are
+The binary problems of one ``svm_train_many`` call (every class of every
+feature matrix, such as all schedules of a recognition grid) are
 stepped together: each coordinate step is one array step with a row per
 problem. Each problem keeps the exact arithmetic of a lone run (its own
 coordinate order, matvec, bias step, objective and convergence test), so
@@ -212,53 +212,46 @@ class OneVsAllClassifier:
         return self.models[0].w.size
 
 
-def svm_train(
-    x: np.ndarray,
-    labels,
-    c: float,
-    epochs: int = SVM_EPOCHS,
-    tol: float = SVM_TOL,
-    seed=0,
-) -> OneVsAllClassifier:
-    """Train one binary hinge model per class (one-vs-all)."""
-    return svm_train_many([x], [(0, labels, c, seed)], epochs, tol)[0]
-
-
 def svm_train_many(
-    xs, jobs, epochs: int = SVM_EPOCHS, tol: float = SVM_TOL
+    xs, labels, c: float, seeds, epochs: int = SVM_EPOCHS, tol: float = SVM_TOL
 ) -> list[OneVsAllClassifier]:
-    """One one-vs-all classifier per job ``(source, labels, c, seed)``,
-    trained on the features ``xs[source]``; all of ``xs`` share one shape.
-    A recognition grid passes one job per schedule, each at the config's
-    ``svm_c``.
+    """One one-vs-all classifier per feature matrix of ``xs``, all of one
+    shape and trained against the same ``labels`` at the same ``c``.
+    ``seeds[i]`` (an int or a tuple) keys matrix i: its class j draws its
+    coordinate orders from the stream of ``seeds[i]`` extended by ``j``.
+    A recognition grid passes one matrix per schedule, ``train`` one.
 
-    The binary problems of every job are stepped together, and each
-    classifier equals ``svm_train(xs[source], labels, c, epochs, tol, seed)``.
+    The binary problems of every matrix are stepped together, and each
+    classifier equals the one the same matrix and seed give alone.
     """
     xs = [np.asarray(x, dtype=float) for x in xs]
     if any(not np.isfinite(x).all() for x in xs):
         raise ValueError("features must be finite")
     if any(x.shape != xs[0].shape for x in xs):
         raise ValueError("feature matrices of one call must share one shape")
-    source, ys, cs, seeds, spans = [], [], [], [], []
-    for index, labels, c, seed in jobs:
-        labels = np.asarray(labels)
-        if c <= 0:
-            raise ValueError(f"C must be positive, got {c}")
-        classes = np.unique(labels)
-        if classes.size < 2:
-            raise ValueError("need at least 2 classes to train")
-        base = seed if isinstance(seed, tuple) else (seed,)
-        spans.append((classes, len(seeds)))
-        for idx, cls in enumerate(classes):
-            source.append(index)
-            ys.append(np.where(labels == cls, 1.0, -1.0))
-            cs.append(c)
-            seeds.append((*base, idx))
-    models = _descend(xs, np.asarray(source), np.asarray(ys), cs, seeds, epochs, tol)
+    if len(seeds) != len(xs):
+        raise ValueError(f"{len(xs)} feature matrices but {len(seeds)} seeds")
+    if c <= 0:
+        raise ValueError(f"C must be positive, got {c}")
+    labels = np.asarray(labels)
+    classes = np.unique(labels)
+    if classes.size < 2:
+        raise ValueError("need at least 2 classes to train")
+    k = classes.size
+    ys = np.where(labels == classes[:, None], 1.0, -1.0)
+    bases = [seed if isinstance(seed, tuple) else (seed,) for seed in seeds]
+    models = _descend(
+        xs,
+        np.repeat(np.arange(len(xs)), k),
+        np.tile(ys, (len(xs), 1)),
+        [c] * (len(xs) * k),
+        [(*base, idx) for base in bases for idx in range(k)],
+        epochs,
+        tol,
+    )
     return [
-        OneVsAllClassifier(classes=classes, models=models[first : first + classes.size])
-        for classes, first in spans
+        OneVsAllClassifier(classes=classes, models=models[i * k : (i + 1) * k])
+        for i in range(len(xs))
     ]
 
 

@@ -27,7 +27,7 @@ from .classify import (
     evaluate,
     load_classifier,
     save_classifier,
-    svm_train,
+    svm_train_many,
 )
 from .conditioning import (
     bernstein_coverage_test,
@@ -259,7 +259,7 @@ def _read_encodings(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
 def cmd_train(config: ExperimentConfig, out: Path, args) -> list[Path]:
     enc_path = Path(args.encodings) if args.encodings else out / "encodings.bin"
     matrix, labels, train_idx, _ = _read_encodings(enc_path)
-    classifier = svm_train(matrix[train_idx], labels[train_idx], c=config.svm_c, seed=(config.seed, 3))
+    [classifier] = svm_train_many([matrix[train_idx]], labels[train_idx], config.svm_c, [(config.seed, 3)])
     path = out / "classifier.json"
     save_classifier(classifier, path)
     return [path]
@@ -294,20 +294,24 @@ def cmd_cost_report(config: ExperimentConfig, out: Path, args) -> list[Path]:
 
 
 def _read_plot_rows(path: Path, kind: str) -> list[dict]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path} is empty") from None
-        if header != PLOT_HEADERS[kind]:
-            raise ValueError(
-                f"{path} header {header} does not match {kind} schema {PLOT_HEADERS[kind]}"
-            )
-        rows = [dict(zip(header, row)) for row in reader]
+    try:
+        with open(path, newline="") as fh:
+            table = list(csv.reader(fh))
+    except csv.Error as exc:
+        raise ValueError(f"{path} is not a readable CSV: {exc}") from None
+    if not table:
+        raise ValueError(f"{path} is empty")
+    header, rows = table[0], table[1:]
+    if header != PLOT_HEADERS[kind]:
+        raise ValueError(
+            f"{path} header {header} does not match {kind} schema {PLOT_HEADERS[kind]}"
+        )
     if not rows:
         raise ValueError(f"{path} has no data rows")
-    return rows
+    for number, row in enumerate(rows, 1):
+        if len(row) != len(header):
+            raise ValueError(f"{path} data row {number} has {len(row)} fields, not {len(header)}")
+    return [dict(zip(header, row)) for row in rows]
 
 
 def cmd_plot(config: ExperimentConfig, out: Path, args) -> list[Path]:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .features import FeatureMatrix, SkipSchedule, budget
+from .features import FeatureMatrix, SkipSchedule, budget, mifs_stack
 from .latent import LatentModel, sample_difference_matrix
 from .streams import stream
 
@@ -302,7 +302,8 @@ def coverage_experiment(
     """Monte-Carlo sandwich coverage for a fixed skip or a full schedule.
 
     ``skip`` is a single tau (fixed-skip route, optionally with an explicit
-    per-trial budget ``t_samples``) or a SkipSchedule (stacked route).
+    per-trial budget ``t_samples``) or a SkipSchedule (stacked route,
+    each trial one ``mifs_stack`` of the schedule).
     Trial i draws from the sub-stream (seed, i), so trials are independent
     and may be evaluated in any order or in parallel.
     """
@@ -312,13 +313,7 @@ def coverage_experiment(
         bounds = theorem2_bounds(model.gammas, model.c, skip, delta)
 
         def draw(trial: int) -> np.ndarray:
-            blocks = [
-                sample_difference_matrix(
-                    model, skip.tau(level), skip.budget(level), stream((seed, trial), level)
-                )
-                for level in skip.included_levels
-            ]
-            return np.concatenate(blocks, axis=1)
+            return mifs_stack(model, skip, (seed, trial), observe=False).p
 
     else:
         tau = float(skip)

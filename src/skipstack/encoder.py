@@ -339,6 +339,8 @@ def fit_codec(
     # projection is pca_apply's, without a second centered copy
     pca = pca_fit(pooled, config.pca_components)
     reduced = np.hstack([pooled @ pca.projection, locations[:, None]])
+    # EM needs only the reduced pool
+    del pooled, locations
     if reduced.shape[0] > config.train_budget:
         pick = rng.choice(reduced.shape[0], size=config.train_budget, replace=False)
         reduced = reduced[pick]
@@ -387,19 +389,3 @@ def save_codec(codec: FisherCodec, path) -> None:
         },
     }
     Path(path).write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
-
-
-def load_codec(path) -> FisherCodec:
-    doc = json.loads(Path(path).read_text())
-    return FisherCodec(
-        pca=PcaTransform(
-            mean=np.asarray(doc["pca"]["mean"]),
-            projection=np.asarray(doc["pca"]["projection"]),
-            explained_ratio=np.asarray(doc["pca"]["explained_ratio"]),
-        ),
-        gmm=GmmModel(
-            weights=np.asarray(doc["gmm"]["weights"]),
-            means=np.asarray(doc["gmm"]["means"]),
-            variances=np.asarray(doc["gmm"]["variances"]),
-        ),
-    )

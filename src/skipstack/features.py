@@ -95,7 +95,7 @@ class FeatureMatrix:
     def __post_init__(self) -> None:
         self.p = np.asarray(self.p, dtype=float)
         t = self.p.shape[1]
-        if np.max(np.abs(self.p), initial=0.0) > 2.0:
+        if np.abs(self.p).max(initial=0.0) > 2.0:
             raise ValueError("coefficient differences must lie in [-2, 2]")
         if self.f is not None:
             self.f = np.asarray(self.f, dtype=float)

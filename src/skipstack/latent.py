@@ -149,17 +149,3 @@ def save_model(model: LatentModel, path) -> None:
         "xbar": [float(v) for v in model.xbar.reshape(-1)],
     }
     Path(path).write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
-
-
-def load_model(path) -> LatentModel:
-    doc = json.loads(Path(path).read_text())
-    xbar = np.asarray(doc["xbar"], dtype=float).reshape(doc["d"], doc["k"])
-    return LatentModel(
-        k=doc["k"],
-        d=doc["d"],
-        gammas=np.asarray(doc["gammas"], dtype=float),
-        c=doc["c"],
-        sigma=doc["sigma"],
-        seed=doc["seed"],
-        xbar=xbar,
-    )

@@ -5,7 +5,8 @@ grid runner. The grid reproduces the level-comparison experiment shape:
 each single level on its own versus the stacked schedules, all sharing
 one dataset and seed so the comparison is paired. It encodes each
 schedule, trains the one-vs-all classifiers of every schedule in one
-batched solver call, then evaluates each schedule.
+``svm_train_many`` call (one matrix per schedule, the same labels and
+C), then evaluates each schedule.
 """
 
 from __future__ import annotations
@@ -84,10 +85,11 @@ def recognition_grid(
     if masked.label not in {schedule.label for schedule in schedules}:
         schedules.append(masked)
     encoded = [encode(dataset, s, config, stream(config.seed, 2, salt))[1] for salt, s in enumerate(schedules)]
-    y_train = dataset.labels[dataset.train_idx]
     classifiers = svm_train_many(
         [x[dataset.train_idx] for x in encoded],
-        [(salt, y_train, config.svm_c, (config.seed, 3, salt)) for salt in range(len(schedules))],
+        dataset.labels[dataset.train_idx],
+        config.svm_c,
+        [(config.seed, 3, salt) for salt in range(len(schedules))],
     )
     y_test = dataset.labels[dataset.test_idx]
     return {

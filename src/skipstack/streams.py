@@ -5,6 +5,30 @@ either passed in directly or derived from an integer seed plus a structured
 key (level index, trial index, ...), so a result depends only on its own
 key, not on what else was drawn before it.
 
+Every key the package derives, with ``seed`` the config seed:
+
+    ==========  ==========================  =================================
+    subsystem   key                         draws
+    ==========  ==========================  =================================
+    dataset     (seed, 0)                   class templates
+    dataset     (seed, 1, class, speed)     one cell's amplitudes and noise
+    latent      (seed, 0)                   the direction matrix
+    codec       (seed, 2[, salt])           PCA/EM sampling; salt i is grid
+                                            schedule i, none for ``encode``
+    SVM         (seed, 3[, salt], class)    one binary problem's coordinate
+                                            orders; salt as for the codec
+    features    (seed, level)               one level of ``mifs_stack``
+    coverage    (seed, trial)               a fixed-skip trial
+    coverage    ((seed, trial), level)      one level of a stacked trial
+    bernstein   (seed, trial)               one trial's sign vectors
+    ==========  ==========================  =================================
+
+Latent and dataset share (seed, 0): a model and a dataset of one seed
+start from the same stream. More keys meet: level 0 of ``spectrum``'s
+stacks is (seed, 0), the latent model's stream, and by the trailing-zero
+rule below fixed-skip coverage trial t draws the same matrix as level 0
+of stacked trial t, so ``sim-condition``'s two routes are paired.
+
 Keys are hashed by ``np.random.SeedSequence``, which pads its entropy with
 zeros, so keys that differ only by trailing zeros give the same stream:
 ``stream(0, 2)``, ``stream(0, 2, 0)`` and ``stream((0, 2), 0)`` draw the

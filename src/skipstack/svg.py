@@ -2,12 +2,14 @@
 
 Only path, line and text nodes are emitted and every number is written
 with two decimals, so the bytes are a pure function of the input data.
-Non-finite points are skipped rather than plotted.
+Non-finite points are skipped rather than plotted. Text is escaped, and
+text with a character XML cannot carry is rejected.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 WIDTH = 640.0
@@ -23,6 +25,10 @@ PALETTE = (
     "#17becf",
     "#7f7f7f",
 )
+
+# characters outside XML 1.0, which no escape can write; compiled on first
+# use (re caches it), as compiling it costs about 130 kB of peak memory
+NOT_XML = "[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]"
 
 
 @dataclass(frozen=True)
@@ -40,10 +46,17 @@ def _fmt(value: float) -> str:
     return "0.00" if text == "-0.00" else text
 
 
+def _escape(text: str) -> str:
+    # by hand: xml.sax.saxutils would import urllib.request with the CLI
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def _text(x: float, y: float, content: str, anchor: str = "start", extra: str = "") -> str:
+    if re.search(NOT_XML, content):
+        raise ValueError(f"text {content!r} holds a character that SVG cannot carry")
     return (
         f'<text x="{_fmt(x)}" y="{_fmt(y)}" font-family="monospace" font-size="11" '
-        f'text-anchor="{anchor}"{extra}>{content}</text>'
+        f'text-anchor="{anchor}"{extra}>{_escape(content)}</text>'
     )
 
 
@@ -59,13 +72,17 @@ def _ranges(series: list[Series]) -> tuple[float, float, float, float]:
     ys = [p[1] for s in series for p in s.finite_points]
     if not xs:
         raise ValueError("nothing to plot: no finite data points")
-    x_lo, x_hi = min(xs), max(xs)
-    y_lo, y_hi = min(ys), max(ys)
-    if x_hi == x_lo:
-        x_lo, x_hi = x_lo - 0.5, x_hi + 0.5
-    if y_hi == y_lo:
-        y_lo, y_hi = y_lo - 0.5, y_hi + 0.5
-    return x_lo, x_hi, y_lo, y_hi
+    return (*_widen(min(xs), max(xs)), *_widen(min(ys), max(ys)))
+
+
+def _widen(lo: float, hi: float) -> tuple[float, float]:
+    """A zero-width range padded by 0.5 each side, or by one float step
+    where 0.5 is below the spacing of floats this large."""
+    if hi == lo:
+        lo, hi = lo - 0.5, hi + 0.5
+        if hi == lo:
+            lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+    return lo, hi
 
 
 def _frame(title: str, x_label: str, y_label: str) -> list[str]:

@@ -20,13 +20,17 @@ from skipstack.classify import (
     load_classifier,
     predict,
     save_classifier,
-    svm_train,
     svm_train_many,
 )
 from skipstack.streams import stream
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def train(x, labels, c, seed=0, **kwargs):
+    """The classifier of one feature matrix."""
+    return svm_train_many([x], labels, c, [seed], **kwargs)[0]
 
 
 def blobs(seed=0, n=40, gap=4.0):
@@ -131,7 +135,7 @@ def _train_binary(
 
 
 def reference_models(x, labels, c, seed, epochs=SVM_EPOCHS, tol=SVM_TOL):
-    """The one-vs-all models as svm_train built them, one class at a time."""
+    """The one-vs-all models of the one-problem solver, one class at a time."""
     x, labels = np.asarray(x, dtype=float), np.asarray(labels)
     base = seed if isinstance(seed, tuple) else (seed,)
     return [
@@ -172,7 +176,7 @@ class TestReferenceOracle:
     @pytest.mark.parametrize("make", [blobs, sparse_features, duplicated_rows])
     def test_models_match_the_one_problem_solver(self, make, c):
         x, y = make()
-        clf = svm_train(x, y, c=c, seed=(4, 2))
+        clf = train(x, y, c, seed=(4, 2))
         assert_bit_identical(clf.models, reference_models(x, y, c, (4, 2)))
 
     def test_weight_steps_match_the_one_problem_step(self):
@@ -237,65 +241,63 @@ class TestReferenceOracle:
         want = _exact_bias_step(y, r, c)
         assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
-    def mixed_jobs(self):
-        # one shape, problems that converge after very different epoch counts
+    def mixed_batch(self):
+        # one shape and one label vector, problems that converge after very
+        # different epoch counts, int and tuple seeds
         rng = np.random.default_rng(23)
-        separable, y_sep = blobs(seed=24, n=20)
-        overlapping = rng.normal(size=(40, 2))
-        y_noise = rng.integers(0, 3, size=40)
-        xs = [separable, overlapping]
-        jobs = [
-            (0, y_sep, 1e-3, 1),
-            (1, y_noise, 100.0, 2),
-            (0, y_sep, 100.0, (3, 1)),
-            (1, y_noise, 1.0, 4),
-        ]
-        return xs, jobs
+        labels = np.arange(42) % 3
+        centers = np.array([[-4.0, 0.0], [4.0, 0.0], [0.0, 4.0]])
+        separable = centers[labels] + rng.normal(scale=0.4, size=(42, 2))
+        overlapping = rng.normal(size=(42, 2))
+        return [separable, overlapping, separable], labels, 1.0, [1, (3, 1), 4]
 
     def test_mixed_batch_matches_the_one_problem_solver(self):
-        xs, jobs = self.mixed_jobs()
-        classifiers = svm_train_many(xs, jobs)
+        xs, labels, c, seeds = self.mixed_batch()
+        classifiers = svm_train_many(xs, labels, c, seeds)
         epochs = []
-        for (source, labels, c, seed), clf in zip(jobs, classifiers):
+        for x, seed, clf in zip(xs, seeds, classifiers, strict=True):
             assert np.array_equal(clf.classes, np.unique(labels))
-            assert_bit_identical(clf.models, reference_models(xs[source], labels, c, seed))
+            assert_bit_identical(clf.models, reference_models(x, labels, c, seed))
             epochs.extend(m.epochs_run for m in clf.models)
         assert max(epochs) >= 5 * min(epochs)
 
     def test_a_problem_alone_equals_it_inside_a_batch(self):
-        xs, jobs = self.mixed_jobs()
-        for (source, labels, c, seed), clf in zip(jobs, svm_train_many(xs, jobs)):
-            alone = svm_train(xs[source], labels, c=c, seed=seed)
-            assert_bit_identical(clf.models, alone.models)
+        xs, labels, c, seeds = self.mixed_batch()
+        for x, seed, clf in zip(xs, seeds, svm_train_many(xs, labels, c, seeds), strict=True):
+            assert_bit_identical(clf.models, train(x, labels, c, seed).models)
 
     def test_batch_of_mixed_shapes_rejected(self):
         with pytest.raises(ValueError, match="one shape"):
-            svm_train_many([np.eye(4), np.eye(5)], [(0, [0, 0, 1, 1], 1.0, 0)])
+            svm_train_many([np.eye(4), np.eye(5)], [0, 0, 1, 1], 1.0, [0, 1])
+
+    def test_one_seed_per_matrix(self):
+        with pytest.raises(ValueError, match="2 feature matrices but 1 seeds"):
+            svm_train_many([np.eye(4), np.eye(4)], [0, 0, 1, 1], 1.0, [0])
 
 
 class TestTraining:
     def test_separable_blobs_perfect_training_accuracy(self):
         x, y = blobs()
-        clf = svm_train(x, y, c=100.0, seed=1)
+        clf = train(x, y, 100.0, seed=1)
         _, labels = predict(clf, x)
         assert np.mean(labels == y) == 1.0
 
     def test_training_point_keeps_its_label(self):
         x, y = blobs(seed=2)
-        clf = svm_train(x, y, c=100.0, seed=2)
+        clf = train(x, y, 100.0, seed=2)
         _, label = predict(clf, x[7:8])
         assert label[0] == y[7]
 
     def test_identical_features_hit_chance_level(self):
         x = np.ones((30, 4))
         y = np.repeat([0, 1, 2], 10)
-        clf = svm_train(x, y, c=1.0, seed=3)
+        clf = train(x, y, 1.0, seed=3)
         report = evaluate(clf, x, y)
         assert report.macc == pytest.approx(100.0 / 3, abs=1e-6)
 
     def test_objective_beats_zero_vector(self):
         x, y = blobs(seed=4)
-        clf = svm_train(x, y, c=10.0, seed=4)
+        clf = train(x, y, 10.0, seed=4)
         for model in clf.models:
             assert model.objective <= 10.0 * len(y) + 1e-9
 
@@ -303,7 +305,7 @@ class TestTraining:
         rng = np.random.default_rng(5)
         x = rng.normal(size=(60, 8))
         y = rng.integers(0, 2, size=60)
-        clf = svm_train(x, y, c=5.0, seed=5)
+        clf = train(x, y, 5.0, seed=5)
         for model in clf.models:
             trace = model.objective_trace
             rises = np.diff(trace)
@@ -311,21 +313,21 @@ class TestTraining:
 
     def test_determinism(self):
         x, y = blobs(seed=6)
-        a = svm_train(x, y, c=100.0, seed=6)
-        b = svm_train(x, y, c=100.0, seed=6)
+        a = train(x, y, 100.0, seed=6)
+        b = train(x, y, 100.0, seed=6)
         for ma, mb in zip(a.models, b.models):
             assert np.array_equal(ma.w, mb.w)
             assert ma.b == mb.b
 
     def test_single_class_rejected(self):
         with pytest.raises(ValueError, match="2 classes"):
-            svm_train(np.zeros((5, 2)), np.zeros(5), c=1.0)
+            train(np.zeros((5, 2)), np.zeros(5), c=1.0)
 
     def test_non_finite_features_rejected(self):
         x = np.zeros((4, 2))
         x[0, 0] = np.nan
         with pytest.raises(ValueError, match="finite"):
-            svm_train(x, [0, 0, 1, 1], c=1.0)
+            train(x, [0, 0, 1, 1], 1.0)
 
     def test_matches_reference_solver(self):
         cvxpy = pytest.importorskip("cvxpy")
@@ -333,7 +335,7 @@ class TestTraining:
         x = rng.normal(size=(40, 5))
         y = np.where(rng.random(40) < 0.5, 1.0, -1.0)
         c = 1.0
-        clf = svm_train(x, np.where(y > 0, 1, 0), c=c, epochs=500, tol=1e-12, seed=7)
+        clf = train(x, np.where(y > 0, 1, 0), c=c, epochs=500, tol=1e-12, seed=7)
         model = clf.models[1]  # the binary problem for label 1 is y itself
         w = cvxpy.Variable(5)
         b = cvxpy.Variable()
@@ -350,7 +352,7 @@ class TestTraining:
 class TestPredict:
     def test_argmax_invariant_under_positive_rescaling(self):
         x, y = blobs(seed=8)
-        clf = svm_train(x, y, c=100.0, seed=8)
+        clf = train(x, y, 100.0, seed=8)
         scaled = OneVsAllClassifier(
             classes=clf.classes,
             models=[
@@ -364,7 +366,7 @@ class TestPredict:
 
     def test_batch_equals_per_sample(self):
         x, y = blobs(seed=9)
-        clf = svm_train(x, y, c=100.0, seed=9)
+        clf = train(x, y, 100.0, seed=9)
         batch_scores, batch_labels = predict(clf, x)
         for i in range(len(x)):
             s, l = predict(clf, x[i : i + 1])
@@ -385,7 +387,7 @@ class TestPredict:
 
     def test_dimension_mismatch_rejected(self):
         x, y = blobs(seed=10)
-        clf = svm_train(x, y, c=1.0, seed=10)
+        clf = train(x, y, 1.0, seed=10)
         with pytest.raises(ValueError, match="dimension"):
             predict(clf, np.zeros((2, 5)))
 
@@ -393,7 +395,7 @@ class TestPredict:
 class TestEvaluate:
     def test_perfect_classifier(self):
         x, y = blobs(seed=11)
-        clf = svm_train(x, y, c=100.0, seed=11)
+        clf = train(x, y, 100.0, seed=11)
         report = evaluate(clf, x, y)
         assert report.macc == pytest.approx(100.0)
         assert report.mean_ap == pytest.approx(100.0)
@@ -418,7 +420,7 @@ class TestEvaluate:
         rng = np.random.default_rng(13)
         x = rng.normal(size=(60, 3))
         y = np.repeat([0, 1, 2], 20)
-        clf = svm_train(x, y, c=1.0, seed=13)
+        clf = train(x, y, 1.0, seed=13)
         keep = y != 2
         with pytest.warns(UserWarning, match="absent"):
             report = evaluate(clf, x[keep], y[keep])
@@ -442,7 +444,7 @@ class TestEvaluate:
 class TestPersistence:
     def test_round_trip_predictions(self, tmp_path):
         x, y = blobs(seed=17)
-        clf = svm_train(x, y, c=100.0, seed=17)
+        clf = train(x, y, 100.0, seed=17)
         path = tmp_path / "clf.json"
         save_classifier(clf, path)
         back = load_classifier(path)

@@ -18,14 +18,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from skipstack.classify import save_classifier, svm_train
-from skipstack.cli import _build_parser, main
+from skipstack.classify import save_classifier, svm_train_many
+from skipstack.cli import COMMANDS, _build_parser, main
 from skipstack.conditioning import spectrum_curve, theorem1_bounds, theorem2_bounds
 from skipstack.config import config_hash, load_config, schedule_of
 from skipstack.dataset import load_dataset
 from skipstack.encoder import ConvergenceError
 from skipstack.features import SkipSchedule, budget, mifs_stack
-from skipstack.latent import load_model, new_model
+from skipstack.latent import new_model, save_model
 from skipstack.pipeline import encode
 from skipstack.streams import stream
 
@@ -88,8 +88,8 @@ class TestModelGen:
         cfg = write_config(tmp_path)
         out = tmp_path / "out"
         assert run(cfg, out, "model-gen") == 0
-        model = load_model(out / "model.json")
-        assert model.xbar.shape == (8, 4)
+        doc = json.loads((out / "model.json").read_text())
+        assert (doc["d"], doc["k"], len(doc["xbar"])) == (8, 4, 32)
         manifest = json.loads((out / "model-gen-manifest.json").read_text())
         assert set(manifest) == {"command", "config_sha256", "numpy", "outputs", "version"}
         assert manifest["command"] == "model-gen"
@@ -103,10 +103,8 @@ class TestModelGen:
         cfg = write_config(tmp_path)
         out = tmp_path / "out"
         run(cfg, out, "model-gen")
-        direct = new_model(4, 8, (0.005, 0.01, 0.04, 0.08), 0.1, 0.0, 0)
-        written = load_model(out / "model.json")
-        assert written.xbar == pytest.approx(direct.xbar)
-        assert np.array_equal(written.gammas, direct.gammas)
+        save_model(new_model(4, 8, (0.005, 0.01, 0.04, 0.08), 0.1, 0.0, 0), tmp_path / "direct.json")
+        assert (out / "model.json").read_bytes() == (tmp_path / "direct.json").read_bytes()
 
     def test_same_seed_is_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -120,9 +118,8 @@ class TestModelGen:
         cfg = write_config(tmp_path)
         out = tmp_path / "out"
         run(cfg, out, "model-gen", "--seed", "7")
-        flagged = load_model(out / "model.json")
-        direct = new_model(4, 8, (0.005, 0.01, 0.04, 0.08), 0.1, 0.0, 7)
-        assert flagged.xbar == pytest.approx(direct.xbar)
+        save_model(new_model(4, 8, (0.005, 0.01, 0.04, 0.08), 0.1, 0.0, 7), tmp_path / "direct.json")
+        assert (out / "model.json").read_bytes() == (tmp_path / "direct.json").read_bytes()
 
     def test_unsorted_gammas_exit_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, gammas=[0.08, 0.005, 0.01, 0.04])
@@ -422,7 +419,7 @@ class TestTrainVerb:
         labels, train_idx = np.asarray(header["labels"]), np.asarray(header["train_idx"])
         config = load_config(cfg)
         expected = tmp_path / "expected.json"
-        clf = svm_train(x[train_idx], labels[train_idx], c=config.svm_c, seed=(config.seed, 3))
+        [clf] = svm_train_many([x[train_idx]], labels[train_idx], config.svm_c, [(config.seed, 3)])
         save_classifier(clf, expected)
         assert (tmp_path / "out" / "classifier.json").read_bytes() == expected.read_bytes()
 
@@ -574,6 +571,20 @@ class TestPlot:
         assert run(cfg, tmp_path / "out", "plot", str(grid_csv), "--kind", "spectrum") == 2
         assert "schema" in capsys.readouterr().err
 
+    def test_short_row_exit_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        short = tmp_path / "coverage.csv"
+        short.write_text("case,trial,beta,lower,upper,within\nfixed,0\n")
+        assert run(cfg, tmp_path / "out", "plot", str(short), "--kind", "coverage") == 2
+        assert "data row 1 has 2 fields, not 6" in capsys.readouterr().err
+
+    def test_oversized_field_exit_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        huge = tmp_path / "grid.csv"
+        huge.write_text("label,macc,map,cost\n" + "x" * 200_000 + ",1,1,1\n")
+        assert run(cfg, tmp_path / "out", "plot", str(huge), "--kind", "accuracy-grid") == 2
+        assert "field larger than field limit" in capsys.readouterr().err
+
 
 class TestParser:
     @pytest.mark.parametrize(
@@ -613,6 +624,16 @@ class TestParser:
                     if flag not in ("--config", "--seed", "--out", "-h", "--help"):
                         actual.setdefault(flag, set()).add(verb)
         assert documented == actual
+
+    def test_readme_command_table_matches_the_commands(self):
+        """README's Commands table lists every verb, in order, with its help text."""
+        lines = README.read_text().splitlines()
+        start = lines.index("| command | what it does |") + 2
+        documented = []
+        for line in itertools.takewhile(lambda text: text.startswith("|"), lines[start:]):
+            verb, help_text = re.split(r"(?<!\\)\|", line)[1:3]
+            documented.append((verb.strip().strip("`"), help_text.strip()))
+        assert documented == [(verb, help_text) for verb, (_, help_text) in COMMANDS.items()]
 
     def test_format_on_the_tabular_verbs(self):
         for verb in ("sim-bounds", "run-recognition", "cost-report"):

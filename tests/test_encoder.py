@@ -20,7 +20,6 @@ from skipstack.encoder import (
     gmm_fit,
     gmm_sample,
     l2_normalize,
-    load_codec,
     mean_log_likelihood,
     pca_apply,
     pca_fit,
@@ -436,16 +435,6 @@ class TestGmmModel:
         with pytest.raises(ValueError, match=match):
             GmmModel(weights=weights, means=means, variances=variances)
 
-    def test_load_codec_rejects_nan(self, tmp_path):
-        codec = fit_codec(toy_descriptor_sets(), CODEC_CONFIG, rng=stream(17))
-        path = tmp_path / "codec.json"
-        save_codec(codec, path)
-        doc = json.loads(path.read_text())
-        doc["gmm"]["variances"][0][0] = float("nan")
-        path.write_text(json.dumps(doc))  # written as the bare token NaN
-        with pytest.raises(ValueError, match="variances must be finite"):
-            load_codec(path)
-
 
 class TestFisherVector:
     def test_single_component_at_mode(self):
@@ -566,14 +555,16 @@ class TestCodec:
         assert flags.tolist() == [False, True]
         assert matrix.shape == (2, codec.encoding_dim)
 
-    def test_save_load_round_trip(self, tmp_path):
-        sets = toy_descriptor_sets()
-        codec = fit_codec(sets, CODEC_CONFIG, rng=stream(16))
+    def test_saved_codec_holds_the_fit_bit_for_bit(self, tmp_path):
+        codec = fit_codec(toy_descriptor_sets(), CODEC_CONFIG, rng=stream(16))
         path = tmp_path / "codec.json"
         save_codec(codec, path)
-        back = load_codec(path)
-        a = encode_sample(codec, sets[1]).vector
-        b = encode_sample(back, sets[1]).vector
-        assert np.array_equal(a, b)
-        assert np.array_equal(back.gmm.variances, codec.gmm.variances)
-        assert np.array_equal(back.pca.projection, codec.pca.projection)
+        # strict JSON: a NaN or Infinity token fails the test
+        doc = json.loads(path.read_text(), parse_constant=pytest.fail)
+        assert set(doc["pca"]) == {"mean", "projection", "explained_ratio"}
+        assert set(doc["gmm"]) == {"weights", "means", "variances"}
+        for part in ("pca", "gmm"):
+            for name, value in doc[part].items():
+                want = getattr(getattr(codec, part), name)
+                got = np.asarray(value)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes(), (part, name)

@@ -6,16 +6,19 @@ Every example drives ``main`` in-process on a tiny config, so a raised
 exception fails the test with the input that caused it.
 """
 
+import csv
+import io
 import json
 import math
 import tempfile
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from skipstack.cli import main
+from skipstack.cli import PLOT_HEADERS, main
 from skipstack.config import ExperimentConfig
 
 TINY = {
@@ -185,3 +188,44 @@ def test_corrupted_bytes_never_raise(chain, data, name):
     for _ in range(data.draw(st.integers(1, 4))):
         original[data.draw(st.integers(0, len(original) - 1))] = data.draw(st.integers(0, 255))
     assert _run_on(chain, name, bytes(original)) in {0} | DOCUMENTED
+
+
+csv_cells = (
+    st.floats().map(repr)
+    | st.integers(-3, 3).map(str)
+    | st.sampled_from(["", "1e16", "-1e300", "L=1", '"', "<&>"])
+    | st.text(max_size=4)
+)
+
+
+@st.composite
+def plot_inputs(draw) -> tuple[str, str]:
+    """A ``--kind`` and CSV text for it: mostly the kind's header over rows
+    of its width, sometimes another header, ragged rows or raw text."""
+    kind = draw(st.sampled_from(sorted(PLOT_HEADERS)))
+    if draw(st.integers(0, 5)) == 0:
+        return kind, draw(st.text(max_size=60))
+    width = len(PLOT_HEADERS[kind])
+    header = draw(st.just(PLOT_HEADERS[kind]) | st.lists(csv_cells, max_size=width + 1))
+    row = st.lists(csv_cells, min_size=width, max_size=width) | st.lists(csv_cells, max_size=width + 1)
+    text = io.StringIO()
+    csv.writer(text, lineterminator="\n").writerows([header, *draw(st.lists(row, max_size=5))])
+    return kind, text.getvalue()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=plot_inputs())
+@example(case=("spectrum", "level,index,sigma_normalized\n0,1e16,1\n"))  # zero-width range
+@example(case=("accuracy-grid", "label,macc,map,cost\n<&>,1,1,1\n"))  # markup in a label
+@example(case=("accuracy-grid", "label,macc,map,cost\n\x1f,0,0,0\n"))  # not XML at all
+def test_plot_of_any_csv_exits_0_or_2(case):
+    """Exit 0 with an SVG that parses, or exit 2."""
+    kind, text = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input.csv"
+        path.write_bytes(text.encode())
+        argv = ["plot", str(path), "--kind", kind, "--seed", "0", "--out", str(Path(tmp) / "out")]
+        code = main(argv)
+        assert code in {0, 2}
+        if code == 0:
+            ET.fromstring((Path(tmp) / "out" / f"{kind}.svg").read_text())

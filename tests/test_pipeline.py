@@ -5,7 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from skipstack.classify import evaluate, svm_train
+from skipstack import encoder
+from skipstack.classify import evaluate, svm_train_many
 from skipstack.config import ExperimentConfig, schedule_of
 from skipstack.dataset import generate_dataset
 from skipstack.encoder import encode_sample, fit_codec
@@ -54,6 +55,17 @@ def assert_same_report(a, b):
     assert a.cost_total == b.cost_total
 
 
+def pool_config_and_sets():
+    """A 300-sample, 4-level config and its training descriptor sets,
+    whose pool (about 10.8 MB) dwarfs the reduced pool EM fits."""
+    config = ExperimentConfig(
+        seed=0, samples_per_cell=20, frames=192, levels=3, gmm_components=4, train_budget=2000
+    )
+    dataset = generate_dataset(config)
+    assert dataset.series.shape[0] == 300
+    return config, extract_all(dataset, dataset.train_idx, schedule_of(config, dataset.frames), config.window)
+
+
 class TestEncodeStage:
     @pytest.mark.parametrize(
         "overrides",
@@ -82,12 +94,7 @@ class TestEncodeStage:
         centered in place). A returning left factor is guarded by the PCA
         route's SVD-shape test instead, since numpy traces it like the
         QR's copy."""
-        config = ExperimentConfig(
-            seed=0, samples_per_cell=20, frames=192, levels=3, gmm_components=4, train_budget=2000
-        )
-        dataset = generate_dataset(config)
-        assert dataset.series.shape[0] == 300
-        sets = extract_all(dataset, dataset.train_idx, schedule_of(config, dataset.frames), config.window)
+        config, sets = pool_config_and_sets()
         pool_bytes = sum(ds.descriptors.nbytes for ds in sets)
         tracemalloc.start()
         try:
@@ -96,6 +103,27 @@ class TestEncodeStage:
         finally:
             tracemalloc.stop()
         assert peak <= 2.5 * pool_bytes
+
+    def test_codec_fit_releases_the_pool_before_em(self, monkeypatch):
+        """When EM starts, the fit holds only the reduced pool: the centered
+        N x D pool and its locations are gone (about 1.07 pools live before)."""
+        config, sets = pool_config_and_sets()
+        pool_bytes = sum(ds.descriptors.nbytes for ds in sets)
+        live_at_em = []
+        original = encoder.gmm_fit
+
+        def spy(*args, **kwargs):
+            live_at_em.append(tracemalloc.get_traced_memory()[0])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(encoder, "gmm_fit", spy)
+        tracemalloc.start()
+        try:
+            fit_codec(sets, config, rng=stream(config.seed, 2))
+        finally:
+            tracemalloc.stop()
+        assert len(live_at_em) == 1
+        assert live_at_em[0] <= 0.1 * pool_bytes
 
 
 class TestRunSchedule:
@@ -159,7 +187,7 @@ class TestGrid:
         train, test, y = tiny_dataset.train_idx, tiny_dataset.test_idx, tiny_dataset.labels
         for i, schedule in enumerate(schedules):
             _, x, _ = encode(tiny_dataset, schedule, config, stream(config.seed, 2, i))
-            clf = svm_train(x[train], y[train], c=config.svm_c, seed=(config.seed, 3, i))
+            [clf] = svm_train_many([x[train]], y[train], config.svm_c, [(config.seed, 3, i)])
             report = evaluate(clf, x[test], y[test])
             want = grid[schedule.label].report
             assert report.macc == want.macc

@@ -59,6 +59,20 @@ class TestLineChart:
         document = line_chart(series)
         assert "nan" not in document
 
+    @pytest.mark.parametrize("value", [1e16, -1e300])
+    def test_degenerate_range_of_large_values_padded(self, value):
+        # 0.5 is below the float spacing here, so x +- 0.5 is x again
+        document = line_chart([Series(name="a", points=((value, value),))])
+        assert "nan" not in document and "inf" not in document
+
+    def test_markup_in_names_escaped(self):
+        document = line_chart([Series(name="<a & b>", points=((0.0, 1.0), (1.0, 2.0)))])
+        assert "<a & b>" in [node.text for node in ET.fromstring(document).iter()]
+
+    def test_control_character_in_a_name_rejected(self):
+        with pytest.raises(ValueError, match="cannot carry"):
+            bar_chart([("a\x1fb", 1.0)])
+
 
 class TestBarChart:
     def test_only_allowed_nodes(self):
