@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -312,52 +313,80 @@ class FisherCodec:
         return 2 * self.gmm.k * self.gmm.means.shape[1]
 
 
-def _augment(codec_pca: PcaTransform, ds: SeriesDescriptorSet) -> np.ndarray:
-    reduced = pca_apply(codec_pca, ds.descriptors)
+def augment(pca: PcaTransform, ds: SeriesDescriptorSet) -> np.ndarray:
+    """A sample's PCA-reduced descriptors with their locations as a last
+    column: the rows its Fisher encoding reads."""
+    reduced = pca_apply(pca, ds.descriptors)
     return np.hstack([reduced, ds.locations[:, None]])
 
 
 def fit_codec(
-    descriptor_sets: list[SeriesDescriptorSet],
+    descriptor_sets: Iterable[SeriesDescriptorSet],
+    n_samples: int,
     config: ExperimentConfig,
     rng=0,
-) -> FisherCodec:
+) -> tuple[FisherCodec, np.ndarray]:
     """Fit PCA on the pooled descriptors and a GMM on the reduced pool.
 
-    Descriptors from all samples and levels are pooled; at most
-    ``config.train_budget`` of them (sampled without replacement) train
-    the mixture. The location coordinate joins after PCA, so the mixture
-    models motion content plus position.
+    ``descriptor_sets`` yields the ``n_samples`` sets of one split, all
+    with the same row count; each is copied into one pool the fit owns as
+    it arrives, so a caller that extracts the sets lazily never holds the
+    split beside the pool. A wrong count or a set of another shape raises
+    ValueError. At most ``config.train_budget`` pooled rows (sampled
+    without replacement) train the mixture. The location coordinate joins
+    after PCA, so the mixture models motion content plus position.
+
+    Returns the codec and the augmented reduced pool: with r rows per set,
+    rows i*r to (i+1)*r - 1 are ``augment(codec.pca, set_i)`` bit for bit.
     """
     rng = as_generator(rng)
-    pools = [ds for ds in descriptor_sets if ds.descriptors.shape[0] > 0]
-    if not pools:
+    pooled = locations = None
+    count = 0
+    for ds in descriptor_sets:
+        if count == n_samples:
+            raise ValueError(f"more than {n_samples} descriptor sets to fit on")
+        if pooled is None:
+            rows = ds.descriptors.shape[0]
+            pooled = np.empty((n_samples * rows, ds.descriptors.shape[1]))
+            locations = np.empty(n_samples * rows)
+        elif ds.descriptors.shape != (rows, pooled.shape[1]):
+            raise ValueError(
+                f"descriptor set {count} is {ds.descriptors.shape}, not "
+                f"{(rows, pooled.shape[1])}: every set of a split has the same shape"
+            )
+        block = slice(count * rows, (count + 1) * rows)
+        pooled[block] = ds.descriptors
+        locations[block] = ds.locations
+        count += 1
+    if count != n_samples:
+        raise ValueError(f"expected {n_samples} descriptor sets to fit on, got {count}")
+    if pooled is None or pooled.shape[0] == 0:
         raise ValueError("no descriptors to fit on")
-    pooled = np.concatenate([ds.descriptors for ds in pools], axis=0)
-    locations = np.concatenate([ds.locations for ds in pools])
     # the fit centers the pool in place, so the pool is held once and its
     # projection is pca_apply's, without a second centered copy
     pca = pca_fit(pooled, config.pca_components)
     reduced = np.hstack([pooled @ pca.projection, locations[:, None]])
-    # EM needs only the reduced pool
+    # EM and the encodings need only the reduced pool
     del pooled, locations
+    fit_rows = reduced
     if reduced.shape[0] > config.train_budget:
         pick = rng.choice(reduced.shape[0], size=config.train_budget, replace=False)
-        reduced = reduced[pick]
-    gmm = gmm_fit(reduced, config.gmm_components, rng=rng)
-    return FisherCodec(pca=pca, gmm=gmm)
+        fit_rows = reduced[pick]
+    gmm = gmm_fit(fit_rows, config.gmm_components, rng=rng)
+    return FisherCodec(pca=pca, gmm=gmm), reduced
 
 
-def encode_sample(codec: FisherCodec, ds: SeriesDescriptorSet) -> FisherEncoding:
-    """Project, augment with location, Fisher-encode, normalize.
+def encode_sample(codec: FisherCodec, rows: np.ndarray) -> FisherEncoding:
+    """Fisher-encode one sample's augmented rows (``augment``'s, or its
+    block of ``fit_codec``'s reduced pool), then normalize.
 
     A sample with no descriptors encodes to a flagged zero vector so a
     degenerate input degrades the evaluation instead of aborting it.
     """
-    if ds.descriptors.shape[0] == 0:
+    if rows.shape[0] == 0:
         warnings.warn("empty descriptor set encodes to a zero vector")
         return FisherEncoding(vector=np.zeros(codec.encoding_dim), zero_flag=True)
-    raw = fisher_vector(codec.gmm, _augment(codec.pca, ds))
+    raw = fisher_vector(codec.gmm, rows)
     vec = l2_normalize(power_normalize(raw.vector))
     # The second pass only moves the last bits of a vector that is already
     # unit-norm, but the coordinate-descent SVM amplifies those bits into
@@ -366,10 +395,11 @@ def encode_sample(codec: FisherCodec, ds: SeriesDescriptorSet) -> FisherEncoding
 
 
 def encode_dataset(
-    codec: FisherCodec, descriptor_sets: list[SeriesDescriptorSet]
+    codec: FisherCodec, samples: list[np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Encodings as an N x dim matrix plus the per-sample zero flags."""
-    encodings = [encode_sample(codec, ds) for ds in descriptor_sets]
+    """Encodings of each sample's augmented rows as an N x dim matrix plus
+    the per-sample zero flags."""
+    encodings = [encode_sample(codec, rows) for rows in samples]
     matrix = np.stack([e.vector for e in encodings])
     flags = np.array([e.zero_flag for e in encodings])
     return matrix, flags

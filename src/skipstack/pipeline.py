@@ -18,7 +18,7 @@ import numpy as np
 from .classify import EvalReport, evaluate, svm_train_many
 from .config import ExperimentConfig, schedule_of
 from .dataset import SyntheticActionDataset
-from .encoder import FisherCodec, encode_dataset, fit_codec
+from .encoder import FisherCodec, augment, encode_dataset, fit_codec
 from .features import (
     SeriesDescriptorSet,
     SkipSchedule,
@@ -54,17 +54,27 @@ def encode(
     """The codec fit on the training split, then each sample's encoding and
     zero flag; a sample's row does not depend on the other samples.
 
-    The test samples are extracted only after the fit, so their descriptors
-    never coexist with the fit's pooled copy of the training descriptors.
+    The training split is pooled as it is extracted: ``fit_codec`` copies
+    each sample's descriptors into its pool as they are made, and the
+    training samples are encoded from their blocks of the reduced pool it
+    returns. Their descriptor sets are never held together, not even
+    briefly, since the allocator keeps freed per-sample buffers resident
+    under the fit's peak. The test split is extracted only after the fit
+    and augmented per sample.
     """
-    train = extract_all(dataset, dataset.train_idx, schedule, config.window)
-    codec = fit_codec(train, config, rng=rng)
-    test = extract_all(dataset, dataset.test_idx, schedule, config.window)
-    sets = [None] * len(dataset.series)
-    for idx, part in ((dataset.train_idx, train), (dataset.test_idx, test)):
-        for i, ds in zip(idx, part):
-            sets[i] = ds
-    encodings, zero_flags = encode_dataset(codec, sets)
+    train_idx = dataset.train_idx
+    codec, reduced = fit_codec(
+        (extract_series_descriptors(dataset.series[i], schedule, config.window) for i in train_idx),
+        len(train_idx),
+        config,
+        rng=rng,
+    )
+    samples = [None] * len(dataset.series)
+    for i, rows in zip(train_idx, np.split(reduced, len(train_idx))):
+        samples[i] = rows
+    for i, ds in zip(dataset.test_idx, extract_all(dataset, dataset.test_idx, schedule, config.window)):
+        samples[i] = augment(codec.pca, ds)
+    encodings, zero_flags = encode_dataset(codec, samples)
     return codec, encodings, zero_flags
 
 

@@ -2,8 +2,10 @@
 
 Only path, line and text nodes are emitted and every number is written
 with two decimals, so the bytes are a pure function of the input data.
-Non-finite points are skipped rather than plotted. Text is escaped, and
-text with a character XML cannot carry is rejected.
+Non-finite points are skipped rather than plotted, and data whose scaled
+coordinates overflow a float is rejected, so no ``nan`` or ``inf`` is ever
+written. Text is escaped, and text with a character XML cannot carry is
+rejected.
 """
 
 from __future__ import annotations
@@ -42,6 +44,10 @@ class Series:
 
 
 def _fmt(value: float) -> str:
+    # every number passes here, so a range whose span or scaled coordinates
+    # overflow a float is refused instead of written as nan or inf
+    if not math.isfinite(value):
+        raise ValueError(f"cannot scale the data onto the canvas: a coordinate is {value}")
     text = f"{value:.2f}"
     return "0.00" if text == "-0.00" else text
 

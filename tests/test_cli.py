@@ -559,6 +559,26 @@ class TestPlot:
             outs[1] / "accuracy-grid.svg"
         ).read_bytes()
 
+    @pytest.mark.parametrize(
+        "kind, text",
+        [
+            ("spectrum", "level,index,sigma_normalized\n0,-1e308,0.5\n0,1e308,1\n"),
+            ("accuracy-grid", "label,macc,map,cost\nL=0,1.7e308,1,1\n"),
+            ("accuracy-grid", "label,macc,map,cost\nL=0,-1.7e308,1,1\n"),
+        ],
+        ids=["line-x-span", "bar-top", "bar-below-axis"],
+    )
+    def test_range_overflowing_the_canvas_exit_2(self, tmp_path, capsys, kind, text):
+        """A range whose scaled coordinates overflow a float is refused, not
+        written as nan or inf."""
+        cfg = write_config(tmp_path)
+        path = tmp_path / "input.csv"
+        path.write_text(text)
+        out = tmp_path / "out"
+        assert run(cfg, out, "plot", str(path), "--kind", kind) == 2
+        assert "cannot scale the data onto the canvas" in capsys.readouterr().err
+        assert not (out / f"{kind}.svg").exists()
+
     def test_empty_csv_exit_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         empty = tmp_path / "empty.csv"

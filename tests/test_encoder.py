@@ -13,6 +13,7 @@ from skipstack.encoder import (
     ConvergenceError,
     FisherCodec,
     GmmModel,
+    augment,
     encode_dataset,
     encode_sample,
     fisher_vector,
@@ -523,40 +524,72 @@ class TestNormalization:
 class TestCodec:
     def test_encoding_dimension(self):
         sets = toy_descriptor_sets()
-        codec = fit_codec(sets, CODEC_CONFIG, rng=stream(13))
+        codec, _ = fit_codec(sets, len(sets), CODEC_CONFIG, rng=stream(13))
         d_raw = sets[0].descriptors.shape[1]
         d_reduced = (d_raw + 1) // 2
         assert codec.encoding_dim == 2 * 4 * (d_reduced + 1)
-        e = encode_sample(codec, sets[0])
+        e = encode_sample(codec, augment(codec.pca, sets[0]))
         assert e.vector.size == codec.encoding_dim
         assert np.linalg.norm(e.vector) == pytest.approx(1.0, abs=1e-10)
 
     def test_identical_descriptors_identical_encodings(self):
         sets = toy_descriptor_sets()
-        codec = fit_codec(sets, CODEC_CONFIG, rng=stream(14))
-        a = encode_sample(codec, sets[2]).vector
-        b = encode_sample(codec, sets[2]).vector
+        codec, _ = fit_codec(sets, len(sets), CODEC_CONFIG, rng=stream(14))
+        a = encode_sample(codec, augment(codec.pca, sets[2])).vector
+        b = encode_sample(codec, augment(codec.pca, sets[2])).vector
         assert np.array_equal(a, b)
 
     def test_empty_set_encodes_to_flagged_zero(self):
         sets = toy_descriptor_sets()
-        codec = fit_codec(sets, CODEC_CONFIG, rng=stream(15))
+        codec, _ = fit_codec(sets, len(sets), CODEC_CONFIG, rng=stream(15))
         empty = SeriesDescriptorSet(
             descriptors=np.zeros((0, sets[0].descriptors.shape[1])),
             locations=np.zeros(0),
             level_of_row=np.zeros(0, dtype=int),
         )
+        empty_rows = augment(codec.pca, empty)
         with pytest.warns(UserWarning, match="empty descriptor set"):
-            e = encode_sample(codec, empty)
+            e = encode_sample(codec, empty_rows)
         assert e.zero_flag
         assert not e.vector.any()
         with pytest.warns(UserWarning, match="empty descriptor set"):
-            matrix, flags = encode_dataset(codec, [sets[0], empty])
+            matrix, flags = encode_dataset(codec, [augment(codec.pca, sets[0]), empty_rows])
         assert flags.tolist() == [False, True]
         assert matrix.shape == (2, codec.encoding_dim)
 
+    def test_reduced_pool_holds_each_sets_augmented_rows(self):
+        """The pool fit_codec returns is, block by block, what augment gives
+        each set, so the training samples encode from it bit for bit."""
+        sets = toy_descriptor_sets()
+        codec, reduced = fit_codec(iter(sets), len(sets), CODEC_CONFIG, rng=stream(17))
+        assert reduced.shape[0] == sum(ds.descriptors.shape[0] for ds in sets)
+        for ds, rows in zip(sets, np.split(reduced, len(sets))):
+            assert np.array_equal(rows, augment(codec.pca, ds))
+
+    @pytest.mark.parametrize("n_samples", [5, 7])
+    def test_wrong_sample_count_rejected(self, n_samples):
+        sets = toy_descriptor_sets()
+        with pytest.raises(ValueError, match="descriptor sets to fit on"):
+            fit_codec(iter(sets), n_samples, CODEC_CONFIG, rng=stream(18))
+
+    def test_ragged_set_rejected(self):
+        sets = toy_descriptor_sets()
+        short = sets[3]
+        sets[3] = SeriesDescriptorSet(
+            descriptors=short.descriptors[:-1],
+            locations=short.locations[:-1],
+            level_of_row=short.level_of_row[:-1],
+        )
+        with pytest.raises(ValueError, match="descriptor set 3 is"):
+            fit_codec(iter(sets), len(sets), CODEC_CONFIG, rng=stream(19))
+
+    def test_no_descriptors_rejected(self):
+        with pytest.raises(ValueError, match="no descriptors"):
+            fit_codec(iter([]), 0, CODEC_CONFIG, rng=stream(20))
+
     def test_saved_codec_holds_the_fit_bit_for_bit(self, tmp_path):
-        codec = fit_codec(toy_descriptor_sets(), CODEC_CONFIG, rng=stream(16))
+        sets = toy_descriptor_sets()
+        codec, _ = fit_codec(sets, len(sets), CODEC_CONFIG, rng=stream(16))
         path = tmp_path / "codec.json"
         save_codec(codec, path)
         # strict JSON: a NaN or Infinity token fails the test

@@ -10,6 +10,7 @@ import csv
 import io
 import json
 import math
+import re
 import tempfile
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -218,8 +219,10 @@ def plot_inputs(draw) -> tuple[str, str]:
 @example(case=("spectrum", "level,index,sigma_normalized\n0,1e16,1\n"))  # zero-width range
 @example(case=("accuracy-grid", "label,macc,map,cost\n<&>,1,1,1\n"))  # markup in a label
 @example(case=("accuracy-grid", "label,macc,map,cost\n\x1f,0,0,0\n"))  # not XML at all
+@example(case=("spectrum", "level,index,sigma_normalized\n0,-1e308,0\n0,1e308,1\n"))  # span overflows
+@example(case=("accuracy-grid", "label,macc,map,cost\na,1.7e308,0,0\n"))  # bar top overflows
 def test_plot_of_any_csv_exits_0_or_2(case):
-    """Exit 0 with an SVG that parses, or exit 2."""
+    """Exit 0 with an SVG that parses and carries no nan or inf, or exit 2."""
     kind, text = case
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "input.csv"
@@ -228,4 +231,9 @@ def test_plot_of_any_csv_exits_0_or_2(case):
         code = main(argv)
         assert code in {0, 2}
         if code == 0:
-            ET.fromstring((Path(tmp) / "out" / f"{kind}.svg").read_text())
+            root = ET.fromstring((Path(tmp) / "out" / f"{kind}.svg").read_text())
+            # names may be any CSV cell, "nan" included, so only attributes,
+            # which hold every coordinate, are searched
+            for node in root.iter():
+                for value in node.attrib.values():
+                    assert not re.search(r"\b(nan|inf)\b", value), (node.tag, value)

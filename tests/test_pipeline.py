@@ -9,7 +9,7 @@ from skipstack import encoder
 from skipstack.classify import evaluate, svm_train_many
 from skipstack.config import ExperimentConfig, schedule_of
 from skipstack.dataset import generate_dataset
-from skipstack.encoder import encode_sample, fit_codec
+from skipstack.encoder import augment, encode_sample, fit_codec
 from skipstack.features import SkipSchedule, extract_series_descriptors, level_cost_report
 from skipstack.pipeline import encode, extract_all, grid_schedules, recognition_grid
 from skipstack.streams import stream
@@ -55,14 +55,20 @@ def assert_same_report(a, b):
     assert a.cost_total == b.cost_total
 
 
-def pool_config_and_sets():
-    """A 300-sample, 4-level config and its training descriptor sets,
-    whose pool (about 10.8 MB) dwarfs the reduced pool EM fits."""
+def pool_config_and_dataset():
+    """A 300-sample, 4-level config and its dataset, whose training pool
+    (about 10.8 MB) dwarfs the reduced pool EM fits."""
     config = ExperimentConfig(
         seed=0, samples_per_cell=20, frames=192, levels=3, gmm_components=4, train_budget=2000
     )
     dataset = generate_dataset(config)
     assert dataset.series.shape[0] == 300
+    return config, dataset
+
+
+def pool_config_and_sets():
+    """The pool config and its training descriptor sets."""
+    config, dataset = pool_config_and_dataset()
     return config, extract_all(dataset, dataset.train_idx, schedule_of(config, dataset.frames), config.window)
 
 
@@ -72,21 +78,48 @@ class TestEncodeStage:
         [dict(levels=1), dict(levels=3), dict(levels=3, exclude=(1,), train_budget=500)],
     )
     def test_equals_fit_on_train_then_encode_each_sample(self, tiny_dataset, overrides):
-        """Extracting the training split first changes no bit: the codec is
-        fit_codec on the training sets, and every row, train and test, is
-        that sample's own encode_sample."""
+        """Pooling the training split as it is extracted changes no bit: the
+        codec is fit_codec on the training sets, and every row, train and
+        test, is encode_sample on that sample's own augmented descriptors."""
         config = tiny_config(**overrides)
         schedule = schedule_of(config, tiny_dataset.frames)
         codec, x, zero_flags = encode(tiny_dataset, schedule, config, stream(config.seed, 2))
         sets = [extract_series_descriptors(s, schedule, config.window) for s in tiny_dataset.series]
-        want = fit_codec([sets[i] for i in tiny_dataset.train_idx], config, rng=stream(config.seed, 2))
+        train = [sets[i] for i in tiny_dataset.train_idx]
+        want, _ = fit_codec(train, len(train), config, rng=stream(config.seed, 2))
         for part in ("pca", "gmm"):
             for name, value in vars(getattr(want, part)).items():
                 assert np.array_equal(getattr(getattr(codec, part), name), value), (part, name)
         assert x.shape == (len(sets), want.encoding_dim)
         for row, ds in zip(x, sets):
-            assert np.array_equal(row, encode_sample(want, ds).vector)
+            assert np.array_equal(row, encode_sample(want, augment(want.pca, ds)).vector)
         assert not zero_flags.any()
+
+    def test_encode_stage_never_holds_the_training_sets_beside_the_pool(self):
+        """The stage's traced peak stays under 2.5 training pools: the pool
+        plus the QR's traced input copy, with the training split pooled as
+        it is extracted (about 2.1). Extracting the training sets first and
+        pooling them after puts a second copy of the split beside the pool
+        (about 3.2).
+
+        The training sets must never be held together, not merely dropped
+        before the QR: the allocator (glibc) keeps the freed per-sample
+        chunks resident, so the QR's copies take fresh pages on top of them
+        and the RSS peak stays where it was. tracemalloc counts only live
+        blocks and cannot see that, so this bound alone does not tell sets
+        dropped early from sets never held together."""
+        config, dataset = pool_config_and_dataset()
+        schedule = schedule_of(config, dataset.frames)
+        first = extract_series_descriptors(dataset.series[dataset.train_idx[0]], schedule, config.window)
+        pool_bytes = len(dataset.train_idx) * first.descriptors.nbytes
+        del first
+        tracemalloc.start()
+        try:
+            encode(dataset, schedule, config, stream(config.seed, 2))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * pool_bytes
 
     def test_codec_fit_holds_one_copy_of_the_pool(self):
         """The fit's traced peak stays near one pool plus the QR's input copy:
@@ -98,15 +131,17 @@ class TestEncodeStage:
         pool_bytes = sum(ds.descriptors.nbytes for ds in sets)
         tracemalloc.start()
         try:
-            fit_codec(sets, config, rng=stream(config.seed, 2))
+            fit_codec(iter(sets), len(sets), config, rng=stream(config.seed, 2))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak <= 2.5 * pool_bytes
 
     def test_codec_fit_releases_the_pool_before_em(self, monkeypatch):
-        """When EM starts, the fit holds only the reduced pool: the centered
-        N x D pool and its locations are gone (about 1.07 pools live before)."""
+        """No N x D array is live when EM starts: the centered pool and its
+        locations are gone (about 1.07 pools live before), and only the
+        augmented reduced pool, which the training samples are encoded
+        from afterwards (about 0.56 pool), outlives them."""
         config, sets = pool_config_and_sets()
         pool_bytes = sum(ds.descriptors.nbytes for ds in sets)
         live_at_em = []
@@ -119,11 +154,11 @@ class TestEncodeStage:
         monkeypatch.setattr(encoder, "gmm_fit", spy)
         tracemalloc.start()
         try:
-            fit_codec(sets, config, rng=stream(config.seed, 2))
+            _, reduced = fit_codec(iter(sets), len(sets), config, rng=stream(config.seed, 2))
         finally:
             tracemalloc.stop()
         assert len(live_at_em) == 1
-        assert live_at_em[0] <= 0.1 * pool_bytes
+        assert live_at_em[0] <= reduced.nbytes + 0.1 * pool_bytes
 
 
 class TestRunSchedule:
