@@ -20,11 +20,12 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+from numpy.linalg import lapack_lite
 
 from .config import ExperimentConfig
 from .features import SeriesDescriptorSet
@@ -35,6 +36,7 @@ EM_TOL = 1e-6
 WEIGHT_COLLAPSE = 1e-8
 MAX_RESEEDS = 3
 VARIANCE_FLOOR_RATIO = 1e-6
+MEAN_BLOCK_ROWS = 256
 
 
 class ConvergenceError(RuntimeError):
@@ -53,30 +55,88 @@ class PcaTransform:
             raise ValueError("projection columns must be orthonormal")
 
 
+def _row_order_mean(data: np.ndarray) -> np.ndarray:
+    """``data.mean(axis=0)`` of the row-major copy of ``data``, bit for bit,
+    without making that copy.
+
+    numpy adds a row-major N x D array (D > 1) down its columns one row at
+    a time, from 0, but a column-major one pairwise along each column, so
+    the two means may differ in the last bits. Here the rows are added in
+    row order to running column sums, a block at a time, through a small
+    row-major buffer headed by those sums. A single column is contiguous
+    in either order and is summed as it is.
+    """
+    if data.flags.c_contiguous:
+        return data.mean(axis=0)
+    n, d = data.shape
+    buffer = np.empty((MEAN_BLOCK_ROWS + 1, d))
+    total = np.zeros(d)
+    for start in range(0, n, MEAN_BLOCK_ROWS):
+        rows = data[start : start + MEAN_BLOCK_ROWS]
+        buffer[0] = total
+        buffer[1 : rows.shape[0] + 1] = rows
+        np.add.reduce(buffer[: rows.shape[0] + 1], axis=0, out=total)
+    return total / n
+
+
+def _dgeqrf(data: np.ndarray, tau: np.ndarray, work: np.ndarray, lwork: int) -> None:
+    n, d = data.shape
+    # data.T is a row-major view of the column-major memory LAPACK reads
+    info = lapack_lite.dgeqrf(n, d, data.T, n, tau, work, lwork, 0)["info"]
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dgeqrf returned info {info}")
+
+
+def _householder_r(data: np.ndarray) -> np.ndarray:
+    """The D x D triangular factor R of the column-major N x D ``data``
+    (N >= D), the R of numpy's QR in mode "r" bit for bit.
+
+    LAPACK's dgeqrf runs in place on ``data``'s memory with the optimal
+    workspace, as numpy's QR runs it on a column-major copy of its input;
+    ``data`` is left holding the Householder vectors below R.
+    """
+    d = data.shape[1]
+    tau = np.empty(d)
+    query = np.empty(1)
+    _dgeqrf(data, tau, query, -1)
+    work = np.empty(max(1, d, int(query[0])))
+    _dgeqrf(data, tau, work, work.size)
+    return np.triu(data[:d])
+
+
 def pca_fit(data: np.ndarray, n_components: int = 0) -> PcaTransform:
     """Centered projection onto the top principal components.
 
     ``n_components`` 0 keeps the default ceil(D/2), halving the dimension
     like the reference pipeline. The fit consumes ``data``, a writable
-    float64 array: it is centered in place, so a caller that owns a large
-    pool holds one copy of it, and afterwards ``data @ projection`` is
-    ``pca_apply(transform, original)`` bit for bit. Pass a copy to keep
-    the original.
+    column-major float64 array: it is centered and QR-factored in place,
+    so a caller that owns a large pool holds one copy of it and the fit
+    makes no other. Afterwards ``data`` holds the factorization, not the
+    data. The transform is that of the row-major data bit for bit: the
+    mean is summed in row order, and R is numpy's QR's. Pass a copy to
+    keep the original.
     """
-    if not (isinstance(data, np.ndarray) and data.dtype == np.float64 and data.flags.writeable):
-        raise TypeError("pca_fit centers its data in place and needs a writable float64 array")
+    if not (
+        isinstance(data, np.ndarray)
+        and data.dtype == np.float64
+        and data.flags.writeable
+        and data.flags.f_contiguous
+    ):
+        raise TypeError(
+            "pca_fit factors its data in place and needs a writable column-major float64 array"
+        )
     n, d = data.shape
     if n <= d:
         raise ValueError(f"need more samples than dimensions to fit, got N={n}, D={d}")
     if not 0 <= n_components <= d:
         raise ValueError(f"n_components must lie in [0, {d}], got {n_components}")
-    mean = data.mean(axis=0)
+    mean = _row_order_mean(data)
     data -= mean
     # Right singular vectors of the centered data = covariance eigenvectors.
     # They are those of its D x D triangular factor R, so no N x D left
     # factor is formed. LAPACK's dgesdd runs this same QR first whenever
     # N >= 11D/6, so on tall data the bits are those of the direct SVD.
-    _, svals, vt = np.linalg.svd(np.linalg.qr(data, mode="r"), full_matrices=False)
+    _, svals, vt = np.linalg.svd(_householder_r(data), full_matrices=False)
     keep = n_components if n_components else (d + 1) // 2
     components = vt[:keep]
     # make each component's largest-magnitude entry positive so the fit is
@@ -320,54 +380,68 @@ def augment(pca: PcaTransform, ds: SeriesDescriptorSet) -> np.ndarray:
     return np.hstack([reduced, ds.locations[:, None]])
 
 
+def _each_set(
+    train_sets: Callable[[], Iterable[SeriesDescriptorSet]],
+    n_samples: int,
+    shape: tuple[int, int] | None,
+    where: str,
+) -> Iterator[tuple[int, SeriesDescriptorSet]]:
+    """The sets of one call of ``train_sets`` with their indices, checked to
+    be ``n_samples`` sets of ``shape`` (the first set's when None)."""
+    count = 0
+    for ds in train_sets():
+        if count == n_samples:
+            raise ValueError(f"more than {n_samples} descriptor sets to fit on{where}")
+        if shape is None:
+            shape = ds.descriptors.shape
+        elif ds.descriptors.shape != shape:
+            raise ValueError(
+                f"descriptor set {count} is {ds.descriptors.shape}, not {shape}{where}: "
+                f"every set of a split has the same shape"
+            )
+        yield count, ds
+        count += 1
+    if count != n_samples:
+        raise ValueError(f"expected {n_samples} descriptor sets to fit on{where}, got {count}")
+
+
 def fit_codec(
-    descriptor_sets: Iterable[SeriesDescriptorSet],
+    train_sets: Callable[[], Iterable[SeriesDescriptorSet]],
     n_samples: int,
     config: ExperimentConfig,
     rng=0,
 ) -> tuple[FisherCodec, np.ndarray]:
     """Fit PCA on the pooled descriptors and a GMM on the reduced pool.
 
-    ``descriptor_sets`` yields the ``n_samples`` sets of one split, all
-    with the same row count; each is copied into one pool the fit owns as
-    it arrives, so a caller that extracts the sets lazily never holds the
-    split beside the pool. A wrong count or a set of another shape raises
-    ValueError. At most ``config.train_budget`` pooled rows (sampled
-    without replacement) train the mixture. The location coordinate joins
-    after PCA, so the mixture models motion content plus position.
+    ``train_sets()`` yields the ``n_samples`` sets of one split, all with
+    the same shape, and is called twice. The first pass copies each set
+    into one column-major pool as it arrives, so a caller that extracts
+    the sets lazily never holds the split beside the pool; the PCA fit
+    factors that pool in place and consumes it. The second pass augments
+    each set into its block of the reduced pool. A wrong count or a set of
+    another shape, on either pass, raises ValueError. At most
+    ``config.train_budget`` reduced rows (sampled without replacement)
+    train the mixture. The location coordinate joins after PCA, so the
+    mixture models motion content plus position.
 
     Returns the codec and the augmented reduced pool: with r rows per set,
-    rows i*r to (i+1)*r - 1 are ``augment(codec.pca, set_i)`` bit for bit.
+    rows i*r to (i+1)*r - 1 are ``augment(codec.pca, set_i)``.
     """
     rng = as_generator(rng)
-    pooled = locations = None
-    count = 0
-    for ds in descriptor_sets:
-        if count == n_samples:
-            raise ValueError(f"more than {n_samples} descriptor sets to fit on")
-        if pooled is None:
-            rows = ds.descriptors.shape[0]
-            pooled = np.empty((n_samples * rows, ds.descriptors.shape[1]))
-            locations = np.empty(n_samples * rows)
-        elif ds.descriptors.shape != (rows, pooled.shape[1]):
-            raise ValueError(
-                f"descriptor set {count} is {ds.descriptors.shape}, not "
-                f"{(rows, pooled.shape[1])}: every set of a split has the same shape"
-            )
-        block = slice(count * rows, (count + 1) * rows)
-        pooled[block] = ds.descriptors
-        locations[block] = ds.locations
-        count += 1
-    if count != n_samples:
-        raise ValueError(f"expected {n_samples} descriptor sets to fit on, got {count}")
-    if pooled is None or pooled.shape[0] == 0:
+    pool = None
+    for i, ds in _each_set(train_sets, n_samples, None, ""):
+        if pool is None:
+            rows, d = ds.descriptors.shape
+            pool = np.empty((n_samples * rows, d), order="F")
+        pool[i * rows : (i + 1) * rows] = ds.descriptors
+    if pool is None or pool.shape[0] == 0:
         raise ValueError("no descriptors to fit on")
-    # the fit centers the pool in place, so the pool is held once and its
-    # projection is pca_apply's, without a second centered copy
-    pca = pca_fit(pooled, config.pca_components)
-    reduced = np.hstack([pooled @ pca.projection, locations[:, None]])
-    # EM and the encodings need only the reduced pool
-    del pooled, locations
+    pca = pca_fit(pool, config.pca_components)
+    # the fit left its QR factorization in the pool
+    del pool
+    reduced = np.empty((n_samples * rows, pca.projection.shape[1] + 1))
+    for i, ds in _each_set(train_sets, n_samples, (rows, d), " (second pass)"):
+        reduced[i * rows : (i + 1) * rows] = augment(pca, ds)
     fit_rows = reduced
     if reduced.shape[0] > config.train_budget:
         pick = rng.choice(reduced.shape[0], size=config.train_budget, replace=False)

@@ -54,17 +54,17 @@ def encode(
     """The codec fit on the training split, then each sample's encoding and
     zero flag; a sample's row does not depend on the other samples.
 
-    The training split is pooled as it is extracted: ``fit_codec`` copies
-    each sample's descriptors into its pool as they are made, and the
-    training samples are encoded from their blocks of the reduced pool it
-    returns. Their descriptor sets are never held together, not even
-    briefly, since the allocator keeps freed per-sample buffers resident
-    under the fit's peak. The test split is extracted only after the fit
-    and augmented per sample.
+    ``fit_codec`` extracts the training split twice, lazily: first to pool
+    each sample's descriptors as they are made (the PCA fit consumes that
+    pool), then to augment each sample into the reduced pool, whose blocks
+    the training samples are encoded from. Their descriptor sets are never
+    held together, not even briefly, since the allocator keeps freed
+    per-sample buffers resident under the fit's peak. The test split is
+    extracted only after the fit and augmented per sample.
     """
     train_idx = dataset.train_idx
     codec, reduced = fit_codec(
-        (extract_series_descriptors(dataset.series[i], schedule, config.window) for i in train_idx),
+        lambda: (extract_series_descriptors(dataset.series[i], schedule, config.window) for i in train_idx),
         len(train_idx),
         config,
         rng=rng,

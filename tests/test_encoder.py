@@ -2,10 +2,13 @@
 
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import skipstack.encoder as enc
 from skipstack.config import ExperimentConfig
@@ -154,29 +157,29 @@ class TestPca:
         rng = np.random.default_rng(0)
         basis = rng.normal(size=(3, 6))
         data = rng.normal(size=(50, 3)) @ basis
-        t = pca_fit(data.copy())
+        t = pca_fit(np.asfortranarray(data))
         reduced = pca_apply(t, data)
         reconstructed = reduced @ t.projection.T + t.mean
         np.testing.assert_allclose(reconstructed, data, atol=1e-10)
 
     def test_projection_orthonormal(self):
         data = np.random.default_rng(1).normal(size=(100, 9))
-        t = pca_fit(data)
+        t = pca_fit(np.asfortranarray(data))
         assert t.projection.shape == (9, 5)  # ceil(9/2)
         np.testing.assert_allclose(t.projection.T @ t.projection, np.eye(5), atol=1e-8)
 
     def test_isotropic_explained_ratio(self):
         data = np.random.default_rng(2).normal(size=(20000, 6))
-        t = pca_fit(data)
+        t = pca_fit(np.asfortranarray(data))
         np.testing.assert_allclose(t.explained_ratio, 1 / 6, atol=0.01)
 
     def test_apply_is_deterministic_given_transform(self):
         data = np.random.default_rng(3).normal(size=(40, 4))
-        t = pca_fit(data.copy())
+        t = pca_fit(np.asfortranarray(data))
         assert np.array_equal(pca_apply(t, data), pca_apply(t, data))
 
     def test_explicit_component_count(self):
-        data = np.random.default_rng(6).normal(size=(80, 9))
+        data = np.asfortranarray(np.random.default_rng(6).normal(size=(80, 9)))
         t = pca_fit(data, n_components=3)
         assert t.projection.shape == (9, 3)
         with pytest.raises(ValueError, match="n_components"):
@@ -184,10 +187,10 @@ class TestPca:
 
     def test_fit_requires_more_samples_than_dims(self):
         with pytest.raises(ValueError, match="more samples"):
-            pca_fit(np.zeros((5, 5)))
+            pca_fit(np.zeros((5, 5), order="F"))
 
     def test_apply_rejects_mismatched_dim(self):
-        t = pca_fit(np.random.default_rng(4).normal(size=(30, 4)))
+        t = pca_fit(np.asfortranarray(np.random.default_rng(4).normal(size=(30, 4))))
         with pytest.raises(ValueError, match="does not match"):
             pca_apply(t, np.zeros((3, 7)))
 
@@ -208,6 +211,11 @@ def _direct_pca(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (components * signs[:, None]).T, variances[:keep] / variances.sum()
 
 
+def _read_only(data: np.ndarray) -> np.ndarray:
+    data.flags.writeable = False
+    return data
+
+
 class TestPcaRoute:
     """The fit takes the SVD of the QR factor R, not of the N x D data."""
 
@@ -215,7 +223,7 @@ class TestPcaRoute:
     def test_tall_data_matches_the_direct_svd_bit_for_bit(self, shape):
         # LAPACK's dgesdd runs the same QR first once N >= 11D/6
         data = _correlated(*shape, seed=shape[0])
-        t = pca_fit(data.copy())
+        t = pca_fit(np.asfortranarray(data))
         projection, ratio = _direct_pca(data)
         assert np.array_equal(t.mean, data.mean(axis=0))
         assert np.array_equal(t.projection, projection)
@@ -226,7 +234,7 @@ class TestPcaRoute:
         # below 11D/6 rows (33 at D = 18) dgesdd skips the QR, so the last
         # bits may differ
         data = _correlated(n, 18, seed=n)
-        t = pca_fit(data.copy())
+        t = pca_fit(np.asfortranarray(data))
         projection, ratio = _direct_pca(data)
         np.testing.assert_allclose(t.projection.T @ t.projection, np.eye(9), atol=1e-12)
         np.testing.assert_allclose(t.projection, projection, atol=1e-9)
@@ -241,32 +249,80 @@ class TestPcaRoute:
             return svd(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", recording)
-        pca_fit(_correlated(500, 18, seed=3))
+        pca_fit(np.asfortranarray(_correlated(500, 18, seed=3)))
         assert shapes == [(18, 18)]
 
-    def test_fit_centers_its_data_in_place_and_projects_like_apply(self):
+    def test_fit_factors_its_data_in_place(self):
+        """The fit consumes its column-major pool: the pool is centered and
+        QR-factored where it lies, so its top rows hold numpy's R."""
         data = _correlated(300, 9, seed=7)
-        pool = data.copy()
+        pool = np.asfortranarray(data)
         t = pca_fit(pool)
         assert np.array_equal(t.mean, data.mean(axis=0))
-        assert np.array_equal(pool, data - t.mean)
-        assert np.array_equal(pool @ t.projection, pca_apply(t, data))
+        assert np.array_equal(np.triu(pool[:9]), np.linalg.qr(data - t.mean, mode="r"))
 
     @pytest.mark.parametrize(
         "data",
         [
-            np.ones((30, 4), dtype=np.float32),
-            np.ones((30, 4), dtype=np.int64),
+            np.ones((30, 4)),
+            np.ones((30, 4), dtype=np.float32, order="F"),
+            np.ones((30, 4), dtype=np.int64, order="F"),
             np.ones((30, 4)).tolist(),
-            np.broadcast_to(np.ones(4), (30, 4)),
+            _read_only(np.ones((30, 4), order="F")),
         ],
-        ids=["float32", "int64", "list", "read-only"],
+        ids=["row-major", "float32", "int64", "list", "read-only"],
     )
     def test_fit_rejects_data_it_cannot_center_in_place(self, data):
-        # a private float64 copy would be centered instead, leaving the
-        # caller's array uncentered behind a projection that assumes it is
-        with pytest.raises(TypeError, match="writable float64"):
+        # a private column-major float64 copy would be factored instead, a
+        # second pool beside the caller's
+        with pytest.raises(TypeError, match="writable column-major float64"):
             pca_fit(data)
+
+    def test_fit_allocates_no_copy_of_its_data(self):
+        data = np.asfortranarray(_correlated(17_600, 18, seed=9))
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            pca_fit(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - entry <= 0.05 * data.nbytes
+
+
+class TestNumpyBehaviourPinned:
+    """The in-place PCA route keeps the old outputs because of two numpy
+    behaviours; an upgrade that changes either fails here by name."""
+
+    @pytest.mark.parametrize("shape", [(33, 18), (17_600, 18), (225_600, 18)])
+    def test_in_place_dgeqrf_gives_numpys_qr_r(self, shape):
+        data = _correlated(*shape, seed=shape[0] + 1)
+        want = np.linalg.qr(data, mode="r")
+        data = np.asfortranarray(data)
+        assert np.array_equal(enc._householder_r(data), want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rows=st.lists(st.integers(0, 700), min_size=1, max_size=6),
+        d=st.integers(1, 24),
+        seed=st.integers(0, 2**32 - 1),
+        exponent=st.integers(0, 200),
+        zero_column=st.booleans(),
+    )
+    def test_row_order_mean_is_numpys_row_major_mean(self, rows, d, seed, exponent, zero_column):
+        """Sets of any sizes pooled column-major have, summed in row order,
+        the mean numpy gives their row-major concatenation."""
+        rng = np.random.default_rng(seed)
+        scales = 10.0 ** rng.uniform(-exponent, exponent, size=d)
+        sets = [rng.standard_cauchy(size=(r, d)) * scales for r in rows]
+        pooled = np.concatenate(sets)
+        if zero_column:
+            pooled[:, rng.integers(d)] = -0.0
+        assume(pooled.shape[0] > 0)
+        want = pooled.mean(axis=0)
+        got = enc._row_order_mean(np.asfortranarray(pooled))
+        assert got.tobytes() == want.tobytes()
 
 
 class TestGmmFit:
@@ -524,7 +580,7 @@ class TestNormalization:
 class TestCodec:
     def test_encoding_dimension(self):
         sets = toy_descriptor_sets()
-        codec, _ = fit_codec(sets, len(sets), CODEC_CONFIG, rng=stream(13))
+        codec, _ = fit_codec(lambda: sets, len(sets), CODEC_CONFIG, rng=stream(13))
         d_raw = sets[0].descriptors.shape[1]
         d_reduced = (d_raw + 1) // 2
         assert codec.encoding_dim == 2 * 4 * (d_reduced + 1)
@@ -534,14 +590,14 @@ class TestCodec:
 
     def test_identical_descriptors_identical_encodings(self):
         sets = toy_descriptor_sets()
-        codec, _ = fit_codec(sets, len(sets), CODEC_CONFIG, rng=stream(14))
+        codec, _ = fit_codec(lambda: sets, len(sets), CODEC_CONFIG, rng=stream(14))
         a = encode_sample(codec, augment(codec.pca, sets[2])).vector
         b = encode_sample(codec, augment(codec.pca, sets[2])).vector
         assert np.array_equal(a, b)
 
     def test_empty_set_encodes_to_flagged_zero(self):
         sets = toy_descriptor_sets()
-        codec, _ = fit_codec(sets, len(sets), CODEC_CONFIG, rng=stream(15))
+        codec, _ = fit_codec(lambda: sets, len(sets), CODEC_CONFIG, rng=stream(15))
         empty = SeriesDescriptorSet(
             descriptors=np.zeros((0, sets[0].descriptors.shape[1])),
             locations=np.zeros(0),
@@ -561,7 +617,7 @@ class TestCodec:
         """The pool fit_codec returns is, block by block, what augment gives
         each set, so the training samples encode from it bit for bit."""
         sets = toy_descriptor_sets()
-        codec, reduced = fit_codec(iter(sets), len(sets), CODEC_CONFIG, rng=stream(17))
+        codec, reduced = fit_codec(lambda: sets, len(sets), CODEC_CONFIG, rng=stream(17))
         assert reduced.shape[0] == sum(ds.descriptors.shape[0] for ds in sets)
         for ds, rows in zip(sets, np.split(reduced, len(sets))):
             assert np.array_equal(rows, augment(codec.pca, ds))
@@ -570,7 +626,7 @@ class TestCodec:
     def test_wrong_sample_count_rejected(self, n_samples):
         sets = toy_descriptor_sets()
         with pytest.raises(ValueError, match="descriptor sets to fit on"):
-            fit_codec(iter(sets), n_samples, CODEC_CONFIG, rng=stream(18))
+            fit_codec(lambda: sets, n_samples, CODEC_CONFIG, rng=stream(18))
 
     def test_ragged_set_rejected(self):
         sets = toy_descriptor_sets()
@@ -581,15 +637,44 @@ class TestCodec:
             level_of_row=short.level_of_row[:-1],
         )
         with pytest.raises(ValueError, match="descriptor set 3 is"):
-            fit_codec(iter(sets), len(sets), CODEC_CONFIG, rng=stream(19))
+            fit_codec(lambda: sets, len(sets), CODEC_CONFIG, rng=stream(19))
+
+    def test_one_shot_iterator_rejected(self):
+        """The sets are read twice; an iterator has none left for the second
+        pass, whose blocks of the reduced pool would stay unset."""
+        sets = iter(toy_descriptor_sets())
+        with pytest.raises(ValueError, match=r"expected 6 descriptor sets to fit on \(second pass\), got 0"):
+            fit_codec(lambda: sets, 6, CODEC_CONFIG, rng=stream(21))
+
+    @pytest.mark.parametrize("second", [slice(0, 5), slice(0, 7)], ids=["fewer", "more"])
+    def test_second_pass_with_another_count_rejected(self, second):
+        sets = toy_descriptor_sets(n_sets=7)
+        passes = iter([sets[:6], sets[second]])
+        with pytest.raises(ValueError, match=r"descriptor sets to fit on \(second pass\)"):
+            fit_codec(lambda: next(passes), 6, CODEC_CONFIG, rng=stream(22))
+
+    def test_second_pass_with_another_shape_rejected(self):
+        sets = toy_descriptor_sets()
+        longer = toy_descriptor_sets(frames=65)
+        passes = iter([sets, sets[:2] + longer[2:3] + sets[3:]])
+        with pytest.raises(ValueError, match=r"descriptor set 2 is .* \(second pass\)"):
+            fit_codec(lambda: next(passes), len(sets), CODEC_CONFIG, rng=stream(23))
+
+    def test_fit_never_calls_numpys_qr(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the codec fit copied its pool into numpy's QR")
+
+        monkeypatch.setattr(np.linalg, "qr", refuse)
+        sets = toy_descriptor_sets()
+        fit_codec(lambda: sets, len(sets), CODEC_CONFIG, rng=stream(24))
 
     def test_no_descriptors_rejected(self):
         with pytest.raises(ValueError, match="no descriptors"):
-            fit_codec(iter([]), 0, CODEC_CONFIG, rng=stream(20))
+            fit_codec(lambda: [], 0, CODEC_CONFIG, rng=stream(20))
 
     def test_saved_codec_holds_the_fit_bit_for_bit(self, tmp_path):
         sets = toy_descriptor_sets()
-        codec, _ = fit_codec(sets, len(sets), CODEC_CONFIG, rng=stream(16))
+        codec, _ = fit_codec(lambda: sets, len(sets), CODEC_CONFIG, rng=stream(16))
         path = tmp_path / "codec.json"
         save_codec(codec, path)
         # strict JSON: a NaN or Infinity token fails the test

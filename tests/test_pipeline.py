@@ -86,7 +86,7 @@ class TestEncodeStage:
         codec, x, zero_flags = encode(tiny_dataset, schedule, config, stream(config.seed, 2))
         sets = [extract_series_descriptors(s, schedule, config.window) for s in tiny_dataset.series]
         train = [sets[i] for i in tiny_dataset.train_idx]
-        want, _ = fit_codec(train, len(train), config, rng=stream(config.seed, 2))
+        want, _ = fit_codec(lambda: train, len(train), config, rng=stream(config.seed, 2))
         for part in ("pca", "gmm"):
             for name, value in vars(getattr(want, part)).items():
                 assert np.array_equal(getattr(getattr(codec, part), name), value), (part, name)
@@ -96,11 +96,12 @@ class TestEncodeStage:
         assert not zero_flags.any()
 
     def test_encode_stage_never_holds_the_training_sets_beside_the_pool(self):
-        """The stage's traced peak stays under 2.5 training pools: the pool
-        plus the QR's traced input copy, with the training split pooled as
-        it is extracted (about 2.1). Extracting the training sets first and
-        pooling them after puts a second copy of the split beside the pool
-        (about 3.2).
+        """The stage's traced peak stays under 2.5 training pools. With the
+        training split pooled as it is extracted and factored in place it
+        is about 1.4, set while encoding by the reduced pool and the test
+        split; with the QR's copy of the pool it was about 2.1. Extracting
+        the training sets first and pooling them after puts a second copy
+        of the split beside the pool (about 3.2).
 
         The training sets must never be held together, not merely dropped
         before the QR: the allocator (glibc) keeps the freed per-sample
@@ -122,26 +123,25 @@ class TestEncodeStage:
         assert peak <= 2.5 * pool_bytes
 
     def test_codec_fit_holds_one_copy_of_the_pool(self):
-        """The fit's traced peak stays near one pool plus the QR's input copy:
-        a second centered copy adds a whole pool (3.06x before the fit
-        centered in place). A returning left factor is guarded by the PCA
-        route's SVD-shape test instead, since numpy traces it like the
-        QR's copy."""
+        """The fit's traced peak stays near one pool (about 1.0, since the
+        QR runs in place): a second centered copy adds a whole pool (3.06x
+        before the fit centered in place). A returning left factor is
+        guarded by the PCA route's SVD-shape test too."""
         config, sets = pool_config_and_sets()
         pool_bytes = sum(ds.descriptors.nbytes for ds in sets)
         tracemalloc.start()
         try:
-            fit_codec(iter(sets), len(sets), config, rng=stream(config.seed, 2))
+            fit_codec(lambda: sets, len(sets), config, rng=stream(config.seed, 2))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak <= 2.5 * pool_bytes
 
     def test_codec_fit_releases_the_pool_before_em(self, monkeypatch):
-        """No N x D array is live when EM starts: the centered pool and its
-        locations are gone (about 1.07 pools live before), and only the
-        augmented reduced pool, which the training samples are encoded
-        from afterwards (about 0.56 pool), outlives them."""
+        """No N x D array is live when EM starts: the factored pool is gone
+        before the reduced pool is built, and only the augmented reduced
+        pool, which the training samples are encoded from afterwards
+        (about 0.56 pool), is live."""
         config, sets = pool_config_and_sets()
         pool_bytes = sum(ds.descriptors.nbytes for ds in sets)
         live_at_em = []
@@ -154,7 +154,7 @@ class TestEncodeStage:
         monkeypatch.setattr(encoder, "gmm_fit", spy)
         tracemalloc.start()
         try:
-            _, reduced = fit_codec(iter(sets), len(sets), config, rng=stream(config.seed, 2))
+            _, reduced = fit_codec(lambda: sets, len(sets), config, rng=stream(config.seed, 2))
         finally:
             tracemalloc.stop()
         assert len(live_at_em) == 1
