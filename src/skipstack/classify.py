@@ -305,15 +305,18 @@ def evaluate(clf: OneVsAllClassifier, x: np.ndarray, labels) -> EvalReport:
 
     Classes with no test samples are dropped from both means with a
     warning, so a thin test split degrades the report instead of biasing
-    it with empty-class zeros.
+    it with empty-class zeros. A test label with no model is a ValueError:
+    its samples would otherwise drop out of both means unseen.
     """
     labels = np.asarray(labels)
+    missing = np.setdiff1d(labels, clf.classes)
+    if missing.size:
+        raise ValueError(f"the classifier has no model for test labels {missing.tolist()}")
     scores, predicted = predict(clf, x)
     idx_of = {cls: i for i, cls in enumerate(clf.classes)}
     confusion = np.zeros((clf.classes.size, clf.classes.size), dtype=int)
     for true, pred in zip(labels, predicted):
-        if true in idx_of:
-            confusion[idx_of[true], idx_of[pred]] += 1
+        confusion[idx_of[true], idx_of[pred]] += 1
     per_class = []
     for i, cls in enumerate(clf.classes):
         mask = labels == cls
@@ -359,6 +362,8 @@ def load_classifier(path) -> OneVsAllClassifier:
         raise ValueError(f"{path} is not a classifier: {exc!r}") from None
     if not isinstance(classes, list) or not all(type(cls) is int for cls in classes):
         raise ValueError(f"{path}: classes must be a list of integer labels")
+    if len(set(classes)) != len(classes):
+        raise ValueError(f"{path}: classes must not repeat, got {classes}")
     if not models or len(models) != len(classes):
         raise ValueError(f"{path}: {len(classes)} classes but {len(models)} models")
     if any(m.w.ndim != 1 or m.w.shape != models[0].w.shape for m in models):

@@ -82,13 +82,6 @@ def _write_csv(path: Path, header: list[str], rows) -> Path:
     return path
 
 
-def _write_table(out: Path, stem: str, header: list[str], rows, fmt: str) -> Path:
-    if fmt == "json":
-        records = [dict(zip(header, row)) for row in rows]
-        return _write_json(out / f"{stem}.json", records)
-    return _write_csv(out / f"{stem}.csv", header, rows)
-
-
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -192,7 +185,7 @@ def cmd_sim_bounds(config: ExperimentConfig, out: Path, args) -> list[Path]:
         )
     )
     header = ["case", "tau", "t", "lower", "upper", "delta_tau"]
-    return [_write_table(out, "bounds", header, rows, args.fmt)]
+    return [_write_csv(out / "bounds.csv", header, rows)]
 
 
 def cmd_bernstein_check(config: ExperimentConfig, out: Path, args) -> list[Path]:
@@ -281,7 +274,7 @@ def cmd_run_recognition(config: ExperimentConfig, out: Path, args) -> list[Path]
         record = {**_report_record(run.report), "cost": run.cost_total, "label": run.label}
         outputs.append(_write_json(out / f"report-{run.label}.json", record))
     rows = [(run.label, run.report.macc, run.report.mean_ap, run.cost_total) for run in runs.values()]
-    outputs.append(_write_table(out, "grid", PLOT_HEADERS["accuracy-grid"], rows, args.fmt))
+    outputs.append(_write_csv(out / "grid.csv", PLOT_HEADERS["accuracy-grid"], rows))
     return outputs
 
 
@@ -290,7 +283,7 @@ def cmd_cost_report(config: ExperimentConfig, out: Path, args) -> list[Path]:
     rows = [(row.level, row.tau, row.count, row.relative) for row in report.rows]
     rows.append(("total", "", "", report.total_relative))
     header = ["level", "tau", "count", "relative"]
-    return [_write_table(out, "cost-report", header, rows, args.fmt)]
+    return [_write_csv(out / "cost-report.csv", header, rows)]
 
 
 def _read_plot_rows(path: Path, kind: str) -> list[dict]:
@@ -384,11 +377,6 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, (handler, help_text) in COMMANDS.items():
         sub = subparsers.add_parser(name, parents=[common], help=help_text)
         sub.set_defaults(handler=handler)
-        if name in ("sim-bounds", "run-recognition", "cost-report"):
-            sub.add_argument(
-                "--format", choices=("csv", "json"), default="csv", dest="fmt",
-                help="tabular output format",
-            )
         if name == "encode":
             sub.add_argument("--data", help="dataset file (default: <out>/dataset.bin)")
         if name in ("train", "evaluate"):

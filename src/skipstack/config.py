@@ -48,7 +48,7 @@ class ExperimentConfig:
     gammas: tuple[float, ...] = (1.0, 1.0, 8.0, 8.0)
     c: float = 0.1
     sigma: float = 0.0
-    # skip schedule: base_tau 0 derives the skip from the frame count
+    # skip schedule
     base_tau: float = 0.01
     frames: int = 96
     levels: int = 3
@@ -82,7 +82,7 @@ class ExperimentConfig:
         speed = max(self.speeds, default=0)
         checks = (
             (self.seed >= 0, f"seed must be >= 0, got {self.seed}"),
-            (self.base_tau >= 0, f"base_tau must be >= 0, got {self.base_tau}"),
+            (self.base_tau > 0, f"base_tau must be > 0, got {self.base_tau}"),
             (0 <= self.levels <= 5, f"levels must lie in [0, 5], got {self.levels}"),
             (
                 all(0 <= level <= self.levels for level in self.exclude),
@@ -120,9 +120,9 @@ class ExperimentConfig:
 
 def schedule_of(config: ExperimentConfig, frames: int | None = None) -> SkipSchedule:
     """The config's masked schedule and the one skip rule: base_tau = 1/frames
-    given ``frames``, else the config's base_tau, where 0 means 1/config.frames."""
+    given ``frames``, else the config's base_tau."""
     include = tuple(l not in config.exclude for l in range(config.levels + 1))
-    base_tau = 1.0 / frames if frames else (config.base_tau or 1.0 / config.frames)
+    base_tau = 1.0 / frames if frames else config.base_tau
     return SkipSchedule(base_tau=base_tau, levels=config.levels, include=include)
 
 

@@ -19,12 +19,7 @@ from .classify import EvalReport, evaluate, svm_train_many
 from .config import ExperimentConfig, schedule_of
 from .dataset import SyntheticActionDataset
 from .encoder import FisherCodec, augment, encode_dataset, fit_codec
-from .features import (
-    SeriesDescriptorSet,
-    SkipSchedule,
-    extract_series_descriptors,
-    level_cost_report,
-)
+from .features import SkipSchedule, extract_series_descriptors, level_cost_report
 from .streams import stream
 
 
@@ -33,16 +28,6 @@ class RecognitionRun:
     label: str
     report: EvalReport
     cost_total: float
-
-
-def extract_all(
-    dataset: SyntheticActionDataset, idx: np.ndarray, schedule: SkipSchedule, window: int
-) -> list[SeriesDescriptorSet]:
-    """Descriptor sets of the samples ``idx``, in that order."""
-    return [
-        extract_series_descriptors(dataset.series[i], schedule, window)
-        for i in idx
-    ]
 
 
 def encode(
@@ -59,21 +44,20 @@ def encode(
     pool), then to augment each sample into the reduced pool, whose blocks
     the training samples are encoded from. Their descriptor sets are never
     held together, not even briefly, since the allocator keeps freed
-    per-sample buffers resident under the fit's peak. The test split is
-    extracted only after the fit and augmented per sample.
+    per-sample buffers resident under the fit's peak. The test split goes
+    one sample at a time after the fit: each sample is extracted and
+    augmented on its own, so only its augmented rows outlive it.
     """
+    def extract(i):
+        return extract_series_descriptors(dataset.series[i], schedule, config.window)
+
     train_idx = dataset.train_idx
-    codec, reduced = fit_codec(
-        lambda: (extract_series_descriptors(dataset.series[i], schedule, config.window) for i in train_idx),
-        len(train_idx),
-        config,
-        rng=rng,
-    )
+    codec, reduced = fit_codec(lambda: map(extract, train_idx), len(train_idx), config, rng=rng)
     samples = [None] * len(dataset.series)
     for i, rows in zip(train_idx, np.split(reduced, len(train_idx))):
         samples[i] = rows
-    for i, ds in zip(dataset.test_idx, extract_all(dataset, dataset.test_idx, schedule, config.window)):
-        samples[i] = augment(codec.pca, ds)
+    for i in dataset.test_idx:
+        samples[i] = augment(codec.pca, extract(i))
     encodings, zero_flags = encode_dataset(codec, samples)
     return codec, encodings, zero_flags
 

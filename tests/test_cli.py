@@ -166,14 +166,6 @@ class TestSimulationVerbs:
         for row in rows:
             assert float(row["lower"]) <= float(row["upper"])
 
-    def test_sim_bounds_json_format(self, tmp_path):
-        cfg = write_config(tmp_path)
-        out = tmp_path / "out"
-        assert run(cfg, out, "sim-bounds", "--format", "json") == 0
-        records = json.loads((out / "bounds.json").read_text())
-        assert not (out / "bounds.csv").exists()
-        assert set(records[0]) == {"case", "tau", "t", "lower", "upper", "delta_tau"}
-
     def test_sim_bounds_rows_are_the_library_bounds(self, tmp_path):
         """On README's quick-start config every row holds exactly what
         theorem1_bounds (per level) and theorem2_bounds (stacked) return."""
@@ -342,6 +334,22 @@ class TestDataVerbs:
         assert "finite" in capsys.readouterr().err
         assert not (out / "eval.json").exists()
 
+    def test_test_labels_without_a_model_exit_2_on_evaluate(self, chain, tmp_path, capsys):
+        """A 3-class classifier scored on a 4-class split names class 3
+        instead of dropping its samples from both means."""
+        cfg = write_config(tmp_path, n_classes=4)
+        wider = tmp_path / "wider"
+        for verb in ("dataset-gen", "encode"):
+            assert run(cfg, wider, verb) == 0
+        out = tmp_path / "out"
+        code = run(
+            cfg, out, "evaluate",
+            "--encodings", str(wider / "encodings.bin"), "--classifier", str(chain / "classifier.json"),
+        )
+        assert code == 2
+        assert "no model for test labels [3]" in capsys.readouterr().err
+        assert not (out / "eval.json").exists()
+
     @pytest.mark.parametrize(
         "verb, name, mangle",
         [
@@ -395,6 +403,7 @@ class TestDataVerbs:
             ({"classes": [0, 1], "models": [{"w": [1.0], "b": 0, "c": 1}] * 3}, "2 classes but 3"),
             ({"classes": ["a"], "models": [{"w": [1.0], "b": 0, "c": 1}]}, "integer labels"),
             ({"classes": [0, 1], "models": [{"w": [1.0], "b": 0, "c": 1}, {"w": [1.0, 2.0], "b": 0, "c": 1}]}, "one length"),
+            ({"classes": [0, 0, 1], "models": [{"w": [1.0], "b": 0, "c": 1}] * 3}, "must not repeat"),
         ],
     )
     def test_malformed_classifier_exit_2(self, chain, tmp_path, capsys, document, message):
@@ -440,6 +449,7 @@ class TestConfigErrors:
             ("dataset-gen", dict(speeds=[5]), "speeds"),
             ("run-recognition", dict(window=0), "window"),
             ("train", dict(svm_c=-1.0), "svm_c"),
+            ("sim-bounds", dict(base_tau=0), "base_tau must be > 0"),
         ],
     )
     def test_bad_field_exit_2_before_any_work(self, tmp_path, capsys, verb, overrides, message):
@@ -507,13 +517,6 @@ class TestCostReport:
         assert [float(row["relative"]) for row in rows[:-1]] == [1.0, 0.5, 0.33]
         assert rows[-1]["level"] == "total"
         assert float(rows[-1]["relative"]) == pytest.approx(1.83)
-
-    def test_json_format(self, tmp_path):
-        cfg = write_config(tmp_path, levels=2, base_tau=0.01)
-        out = tmp_path / "out"
-        assert run(cfg, out, "cost-report", "--format", "json") == 0
-        records = json.loads((out / "cost-report.json").read_text())
-        assert records[-1]["level"] == "total"
 
 
 class TestPlot:
@@ -614,6 +617,9 @@ class TestParser:
             ("encode", "--threads"),
             ("model-gen", "--format"),
             ("train", "--format"),
+            ("sim-bounds", "--format"),
+            ("run-recognition", "--format"),
+            ("cost-report", "--format"),
             ("run-recognition", "--threads"),
         ],
     )
@@ -654,10 +660,6 @@ class TestParser:
             verb, help_text = re.split(r"(?<!\\)\|", line)[1:3]
             documented.append((verb.strip().strip("`"), help_text.strip()))
         assert documented == [(verb, help_text) for verb, (_, help_text) in COMMANDS.items()]
-
-    def test_format_on_the_tabular_verbs(self):
-        for verb in ("sim-bounds", "run-recognition", "cost-report"):
-            assert _build_parser().parse_args([verb, "--format", "json"]).fmt == "json"
 
     def test_unknown_config_file_exit_2(self, tmp_path, capsys):
         code = main(

@@ -82,6 +82,7 @@ class TestValidation:
             (dict(levels=1, exclude=(-1,)), "exclude"),
             (dict(levels=1, exclude=(0, 0)), "exclude"),
             (dict(levels=1, exclude=(0, 1)), "keep at least one level"),
+            (dict(base_tau=0.0), "base_tau must be > 0"),
         ],
     )
     def test_bad_values(self, fields, message):
@@ -114,10 +115,6 @@ class TestValidation:
         config = ExperimentConfig(seed=0, svm_c=10, gammas=[1, 1, 8, 8])
         assert config.svm_c == 10
         assert config.gammas == (1, 1, 8, 8)
-
-    def test_frames_derive_base_tau_when_unset(self):
-        config = ExperimentConfig(seed=0, base_tau=0.0, frames=50)
-        assert schedule_of(config).base_tau == pytest.approx(1.0 / 50)
 
     def test_explicit_base_tau_wins(self):
         config = ExperimentConfig(seed=0, base_tau=0.02, frames=50)

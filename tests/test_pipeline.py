@@ -5,13 +5,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from skipstack import encoder
+from skipstack import encoder, pipeline
 from skipstack.classify import evaluate, svm_train_many
 from skipstack.config import ExperimentConfig, schedule_of
 from skipstack.dataset import generate_dataset
 from skipstack.encoder import augment, encode_sample, fit_codec
 from skipstack.features import SkipSchedule, extract_series_descriptors, level_cost_report
-from skipstack.pipeline import encode, extract_all, grid_schedules, recognition_grid
+from skipstack.pipeline import encode, grid_schedules, recognition_grid
 from skipstack.streams import stream
 
 
@@ -69,7 +69,8 @@ def pool_config_and_dataset():
 def pool_config_and_sets():
     """The pool config and its training descriptor sets."""
     config, dataset = pool_config_and_dataset()
-    return config, extract_all(dataset, dataset.train_idx, schedule_of(config, dataset.frames), config.window)
+    schedule = schedule_of(config, dataset.frames)
+    return config, [extract_series_descriptors(dataset.series[i], schedule, config.window) for i in dataset.train_idx]
 
 
 class TestEncodeStage:
@@ -97,9 +98,10 @@ class TestEncodeStage:
 
     def test_encode_stage_never_holds_the_training_sets_beside_the_pool(self):
         """The stage's traced peak stays under 2.5 training pools. With the
-        training split pooled as it is extracted and factored in place it
-        is about 1.4, set while encoding by the reduced pool and the test
-        split; with the QR's copy of the pool it was about 2.1. Extracting
+        training split pooled as it is extracted and factored in place, and
+        the test split encoded one sample at a time, it is about 1.0, set
+        by the fit's pool; with the test split extracted whole it was about
+        1.4, and with the QR's copy of the pool about 2.1. Extracting
         the training sets first and pooling them after puts a second copy
         of the split beside the pool (about 3.2).
 
@@ -121,6 +123,41 @@ class TestEncodeStage:
         finally:
             tracemalloc.stop()
         assert peak <= 2.5 * pool_bytes
+
+    def test_test_split_goes_one_sample_at_a_time(self, monkeypatch):
+        """From the codec fit's return to the encodings' return, the traced
+        peak above the live level at the fit's return stays below the test
+        split's descriptor sets together. Each test sample is extracted and
+        augmented on its own, so only its augmented rows outlive it (about
+        0.66 of the sets); extracting the split first and augmenting it
+        after holds every set beside those rows (about 1.70)."""
+        config, dataset = pool_config_and_dataset()
+        schedule = schedule_of(config, dataset.frames)
+        first = extract_series_descriptors(dataset.series[dataset.test_idx[0]], schedule, config.window)
+        test_bytes = len(dataset.test_idx) * first.descriptors.nbytes
+        del first
+        marks = {}
+        fit, encode_all = pipeline.fit_codec, pipeline.encode_dataset
+
+        def fit_then_mark(*args, **kwargs):
+            result = fit(*args, **kwargs)
+            marks["live"] = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            return result
+
+        def encode_then_mark(*args, **kwargs):
+            result = encode_all(*args, **kwargs)
+            marks["peak"] = tracemalloc.get_traced_memory()[1]
+            return result
+
+        monkeypatch.setattr(pipeline, "fit_codec", fit_then_mark)
+        monkeypatch.setattr(pipeline, "encode_dataset", encode_then_mark)
+        tracemalloc.start()
+        try:
+            encode(dataset, schedule, config, stream(config.seed, 2))
+        finally:
+            tracemalloc.stop()
+        assert marks["peak"] - marks["live"] < test_bytes
 
     def test_codec_fit_holds_one_copy_of_the_pool(self):
         """The fit's traced peak stays near one pool (about 1.0, since the
