@@ -229,7 +229,7 @@ def cmd_dataset_gen(config: ExperimentConfig, out: Path, args) -> list[Path]:
 def cmd_encode(config: ExperimentConfig, out: Path, args) -> list[Path]:
     data_path = Path(args.data) if args.data else out / "dataset.bin"
     ds = load_dataset(data_path)
-    codec, encodings, zero_flags = encode(ds, schedule_of(config, ds.frames), config, stream(config.seed, 2))
+    codec, encodings = encode(ds, schedule_of(config, ds.frames), config, stream(config.seed, 2))
     codec_path = out / "codec.json"
     save_codec(codec, codec_path)
     header = {
@@ -237,7 +237,7 @@ def cmd_encode(config: ExperimentConfig, out: Path, args) -> list[Path]:
         "labels": ds.labels.tolist(),
         "test_idx": ds.test_idx.tolist(),
         "train_idx": ds.train_idx.tolist(),
-        "zero_flags": [int(flag) for flag in zero_flags],
+        "zero_flags": [int(not row.any()) for row in encodings],
     }
     enc_path = out / "encodings.bin"
     container.write(enc_path, header, encodings)

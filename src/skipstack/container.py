@@ -3,8 +3,9 @@
 Layout: one JSON header line (sorted keys, no whitespace), then the
 payload as little-endian 32-bit floats in row-major order, one block per
 sample; the header's ``labels`` give the sample count n. ``read`` raises
-ValueError on a non-object header, a missing or mistyped key, a split
-index outside [0, n) or a payload of the wrong length.
+ValueError on a non-object header, a missing or mistyped key, a payload
+of the wrong length, a train/test split that does not partition [0, n),
+or ``speeds`` or ``zero_flags`` without one entry per label.
 """
 from __future__ import annotations
 
@@ -75,11 +76,16 @@ def read(path, keys: dict[str, str], row: tuple[str, ...]) -> tuple[dict, np.nda
             raise ValueError(f"{name}: header lacks {key!r}")
         fields[key] = _typed(f"{name}: header key {key!r}", kind, header[key])
     n = fields["labels"].size
-    for key in ("train_idx", "test_idx"):
-        if np.any((fields[key] < 0) | (fields[key] >= n)):
-            raise ValueError(f"{name}: {key} must lie in [0, {n})")
     shape = (n, *(fields[key] for key in row))
     expected = 4 * math.prod(shape)
     if len(raw) != expected:
         raise ValueError(f"{name}: payload is {len(raw)} bytes, expected {expected}")
+    split = np.concatenate([fields["train_idx"], fields["test_idx"]])
+    if not np.array_equal(np.sort(split), np.arange(n)):
+        raise ValueError(
+            f"{name}: train_idx must lie in [0, {n}) and test_idx must lie in the rest, each index once"
+        )
+    for key in ("speeds", "zero_flags"):
+        if key in fields and fields[key].size != n:
+            raise ValueError(f"{name}: {key} must have {n} entries, one per label")
     return fields, np.frombuffer(raw, dtype="<f4").reshape(shape)

@@ -19,8 +19,7 @@ from __future__ import annotations
 
 import json
 import math
-import warnings
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -318,7 +317,6 @@ class FisherEncoding:
     """Concatenated mean- and variance-gradient blocks, 2 * K * D values."""
 
     vector: np.ndarray
-    zero_flag: bool = False
 
 
 def fisher_vector(gmm: GmmModel, descriptors: np.ndarray) -> FisherEncoding:
@@ -380,68 +378,49 @@ def augment(pca: PcaTransform, ds: SeriesDescriptorSet) -> np.ndarray:
     return np.hstack([reduced, ds.locations[:, None]])
 
 
-def _each_set(
-    train_sets: Callable[[], Iterable[SeriesDescriptorSet]],
-    n_samples: int,
-    shape: tuple[int, int] | None,
-    where: str,
-) -> Iterator[tuple[int, SeriesDescriptorSet]]:
-    """The sets of one call of ``train_sets`` with their indices, checked to
-    be ``n_samples`` sets of ``shape`` (the first set's when None)."""
-    count = 0
-    for ds in train_sets():
-        if count == n_samples:
-            raise ValueError(f"more than {n_samples} descriptor sets to fit on{where}")
-        if shape is None:
-            shape = ds.descriptors.shape
-        elif ds.descriptors.shape != shape:
-            raise ValueError(
-                f"descriptor set {count} is {ds.descriptors.shape}, not {shape}{where}: "
-                f"every set of a split has the same shape"
-            )
-        yield count, ds
-        count += 1
-    if count != n_samples:
-        raise ValueError(f"expected {n_samples} descriptor sets to fit on{where}, got {count}")
-
-
 def fit_codec(
-    train_sets: Callable[[], Iterable[SeriesDescriptorSet]],
-    n_samples: int,
+    extract: Callable[[int], SeriesDescriptorSet],
+    idx: Sequence[int],
     config: ExperimentConfig,
     rng=0,
 ) -> tuple[FisherCodec, np.ndarray]:
     """Fit PCA on the pooled descriptors and a GMM on the reduced pool.
 
-    ``train_sets()`` yields the ``n_samples`` sets of one split, all with
-    the same shape, and is called twice. The first pass copies each set
-    into one column-major pool as it arrives, so a caller that extracts
-    the sets lazily never holds the split beside the pool; the PCA fit
-    factors that pool in place and consumes it. The second pass augments
-    each set into its block of the reduced pool. A wrong count or a set of
-    another shape, on either pass, raises ValueError. At most
-    ``config.train_budget`` reduced rows (sampled without replacement)
-    train the mixture. The location coordinate joins after PCA, so the
-    mixture models motion content plus position.
+    ``extract(i)`` makes the descriptor set of sample i; the sets of the
+    split ``idx`` all have the same shape. Each is made twice. The first
+    pass copies each set into one column-major pool as it is made, so the
+    split is never held beside the pool; the PCA fit factors that pool in
+    place and consumes it. The second pass augments each set into its
+    block of the reduced pool. A set of another shape than the first
+    raises ValueError. At most ``config.train_budget`` reduced rows
+    (sampled without replacement) train the mixture. The location
+    coordinate joins after PCA, so the mixture models motion content plus
+    position.
 
     Returns the codec and the augmented reduced pool: with r rows per set,
-    rows i*r to (i+1)*r - 1 are ``augment(codec.pca, set_i)``.
+    rows k*r to (k+1)*r - 1 are ``augment(codec.pca, extract(idx[k]))``.
     """
     rng = as_generator(rng)
     pool = None
-    for i, ds in _each_set(train_sets, n_samples, None, ""):
+    for k, i in enumerate(idx):
+        ds = extract(i)
         if pool is None:
-            rows, d = ds.descriptors.shape
-            pool = np.empty((n_samples * rows, d), order="F")
-        pool[i * rows : (i + 1) * rows] = ds.descriptors
+            shape = rows, d = ds.descriptors.shape
+            pool = np.empty((len(idx) * rows, d), order="F")
+        elif ds.descriptors.shape != shape:
+            raise ValueError(
+                f"descriptor set {k} is {ds.descriptors.shape}, not {shape}: "
+                f"every set of a split has the same shape"
+            )
+        pool[k * rows : (k + 1) * rows] = ds.descriptors
     if pool is None or pool.shape[0] == 0:
         raise ValueError("no descriptors to fit on")
     pca = pca_fit(pool, config.pca_components)
     # the fit left its QR factorization in the pool
     del pool
-    reduced = np.empty((n_samples * rows, pca.projection.shape[1] + 1))
-    for i, ds in _each_set(train_sets, n_samples, (rows, d), " (second pass)"):
-        reduced[i * rows : (i + 1) * rows] = augment(pca, ds)
+    reduced = np.empty((len(idx) * rows, pca.projection.shape[1] + 1))
+    for k, i in enumerate(idx):
+        reduced[k * rows : (k + 1) * rows] = augment(pca, extract(i))
     fit_rows = reduced
     if reduced.shape[0] > config.train_budget:
         pick = rng.choice(reduced.shape[0], size=config.train_budget, replace=False)
@@ -452,31 +431,13 @@ def fit_codec(
 
 def encode_sample(codec: FisherCodec, rows: np.ndarray) -> FisherEncoding:
     """Fisher-encode one sample's augmented rows (``augment``'s, or its
-    block of ``fit_codec``'s reduced pool), then normalize.
-
-    A sample with no descriptors encodes to a flagged zero vector so a
-    degenerate input degrades the evaluation instead of aborting it.
-    """
-    if rows.shape[0] == 0:
-        warnings.warn("empty descriptor set encodes to a zero vector")
-        return FisherEncoding(vector=np.zeros(codec.encoding_dim), zero_flag=True)
+    block of ``fit_codec``'s reduced pool), then normalize."""
     raw = fisher_vector(codec.gmm, rows)
     vec = l2_normalize(power_normalize(raw.vector))
     # The second pass only moves the last bits of a vector that is already
     # unit-norm, but the coordinate-descent SVM amplifies those bits into
     # different grid accuracies, so it stays to keep the outputs as they are.
     return FisherEncoding(vector=l2_normalize(vec))
-
-
-def encode_dataset(
-    codec: FisherCodec, samples: list[np.ndarray]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Encodings of each sample's augmented rows as an N x dim matrix plus
-    the per-sample zero flags."""
-    encodings = [encode_sample(codec, rows) for rows in samples]
-    matrix = np.stack([e.vector for e in encodings])
-    flags = np.array([e.zero_flag for e in encodings])
-    return matrix, flags
 
 
 def save_codec(codec: FisherCodec, path) -> None:

@@ -18,7 +18,7 @@ import numpy as np
 from .classify import EvalReport, evaluate, svm_train_many
 from .config import ExperimentConfig, schedule_of
 from .dataset import SyntheticActionDataset
-from .encoder import FisherCodec, augment, encode_dataset, fit_codec
+from .encoder import FisherCodec, augment, encode_sample, fit_codec
 from .features import SkipSchedule, extract_series_descriptors, level_cost_report
 from .streams import stream
 
@@ -35,31 +35,32 @@ def encode(
     schedule: SkipSchedule,
     config: ExperimentConfig,
     rng,
-) -> tuple[FisherCodec, np.ndarray, np.ndarray]:
-    """The codec fit on the training split, then each sample's encoding and
-    zero flag; a sample's row does not depend on the other samples.
+) -> tuple[FisherCodec, np.ndarray]:
+    """The codec fit on the training split, then each sample's encoding as
+    one row of an N x dim matrix; a sample's row does not depend on the
+    other samples.
 
-    ``fit_codec`` extracts the training split twice, lazily: first to pool
-    each sample's descriptors as they are made (the PCA fit consumes that
-    pool), then to augment each sample into the reduced pool, whose blocks
-    the training samples are encoded from. Their descriptor sets are never
-    held together, not even briefly, since the allocator keeps freed
-    per-sample buffers resident under the fit's peak. The test split goes
-    one sample at a time after the fit: each sample is extracted and
-    augmented on its own, so only its augmented rows outlive it.
+    ``fit_codec`` extracts each training sample twice: first to pool its
+    descriptors as they are made (the PCA fit consumes that pool), then to
+    augment it into the reduced pool. The training descriptor sets are
+    never held together, not even briefly, since the allocator keeps freed
+    per-sample buffers resident under the fit's peak. The training rows
+    are encoded from the blocks of the reduced pool, which is released
+    before the test split is touched. Each test sample is then extracted,
+    augmented and encoded on its own, so only its encoding row outlives it.
     """
     def extract(i):
         return extract_series_descriptors(dataset.series[i], schedule, config.window)
 
-    train_idx = dataset.train_idx
-    codec, reduced = fit_codec(lambda: map(extract, train_idx), len(train_idx), config, rng=rng)
-    samples = [None] * len(dataset.series)
-    for i, rows in zip(train_idx, np.split(reduced, len(train_idx))):
-        samples[i] = rows
+    codec, reduced = fit_codec(extract, dataset.train_idx, config, rng=rng)
+    encodings = np.empty((len(dataset.series), codec.encoding_dim))
+    for i, rows in zip(dataset.train_idx, np.split(reduced, len(dataset.train_idx))):
+        encodings[i] = encode_sample(codec, rows).vector
+    # the last block is a view that keeps the whole pool alive
+    del reduced, rows
     for i in dataset.test_idx:
-        samples[i] = augment(codec.pca, extract(i))
-    encodings, zero_flags = encode_dataset(codec, samples)
-    return codec, encodings, zero_flags
+        encodings[i] = encode_sample(codec, augment(codec.pca, extract(i))).vector
+    return codec, encodings
 
 
 def grid_schedules(base_tau: float, max_level: int) -> list[SkipSchedule]:

@@ -269,10 +269,11 @@ class TestDataVerbs:
     def test_encodings_are_the_encode_stage(self, chain):
         config = load_config(chain.parent / "config.json")
         ds = load_dataset(chain / "dataset.bin")
-        _, x, zero_flags = encode(ds, schedule_of(config, ds.frames), config, stream(config.seed, 2))
+        _, x = encode(ds, schedule_of(config, ds.frames), config, stream(config.seed, 2))
         line, payload = (chain / "encodings.bin").read_bytes().split(b"\n", 1)
         assert payload == x.astype("<f4").tobytes()
-        assert json.loads(line)["zero_flags"] == [int(flag) for flag in zero_flags]
+        # a flag marks an all-zero row, and no row is one
+        assert json.loads(line)["zero_flags"] == [int(not row.any()) for row in x] == [0] * len(x)
 
     def test_eval_keys_are_exactly_the_contract(self, chain):
         report = json.loads((chain / "eval.json").read_text())
@@ -358,6 +359,9 @@ class TestDataVerbs:
             ("train", "encodings.bin", lambda h: h.update(cols=[h["cols"]])),
             ("encode", "dataset.bin", lambda h: h.pop("channels")),
             ("encode", "dataset.bin", lambda h: h.update(train_idx=[-1])),
+            # scored on the training rows, these exited 0 with MAcc 100
+            pytest.param("evaluate", "encodings.bin", lambda h: h.update(test_idx=h["train_idx"]), id="split-overlaps"),
+            pytest.param("evaluate", "encodings.bin", lambda h: h.update(zero_flags=[1]), id="short-zero-flags"),
         ],
     )
     def test_malformed_header_exit_2(self, chain, tmp_path, capsys, verb, name, mangle):

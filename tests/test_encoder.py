@@ -17,7 +17,6 @@ from skipstack.encoder import (
     FisherCodec,
     GmmModel,
     augment,
-    encode_dataset,
     encode_sample,
     fisher_vector,
     fit_codec,
@@ -580,7 +579,7 @@ class TestNormalization:
 class TestCodec:
     def test_encoding_dimension(self):
         sets = toy_descriptor_sets()
-        codec, _ = fit_codec(lambda: sets, len(sets), CODEC_CONFIG, rng=stream(13))
+        codec, _ = fit_codec(sets.__getitem__, range(len(sets)), CODEC_CONFIG, rng=stream(13))
         d_raw = sets[0].descriptors.shape[1]
         d_reduced = (d_raw + 1) // 2
         assert codec.encoding_dim == 2 * 4 * (d_reduced + 1)
@@ -590,43 +589,19 @@ class TestCodec:
 
     def test_identical_descriptors_identical_encodings(self):
         sets = toy_descriptor_sets()
-        codec, _ = fit_codec(lambda: sets, len(sets), CODEC_CONFIG, rng=stream(14))
+        codec, _ = fit_codec(sets.__getitem__, range(len(sets)), CODEC_CONFIG, rng=stream(14))
         a = encode_sample(codec, augment(codec.pca, sets[2])).vector
         b = encode_sample(codec, augment(codec.pca, sets[2])).vector
         assert np.array_equal(a, b)
-
-    def test_empty_set_encodes_to_flagged_zero(self):
-        sets = toy_descriptor_sets()
-        codec, _ = fit_codec(lambda: sets, len(sets), CODEC_CONFIG, rng=stream(15))
-        empty = SeriesDescriptorSet(
-            descriptors=np.zeros((0, sets[0].descriptors.shape[1])),
-            locations=np.zeros(0),
-            level_of_row=np.zeros(0, dtype=int),
-        )
-        empty_rows = augment(codec.pca, empty)
-        with pytest.warns(UserWarning, match="empty descriptor set"):
-            e = encode_sample(codec, empty_rows)
-        assert e.zero_flag
-        assert not e.vector.any()
-        with pytest.warns(UserWarning, match="empty descriptor set"):
-            matrix, flags = encode_dataset(codec, [augment(codec.pca, sets[0]), empty_rows])
-        assert flags.tolist() == [False, True]
-        assert matrix.shape == (2, codec.encoding_dim)
 
     def test_reduced_pool_holds_each_sets_augmented_rows(self):
         """The pool fit_codec returns is, block by block, what augment gives
         each set, so the training samples encode from it bit for bit."""
         sets = toy_descriptor_sets()
-        codec, reduced = fit_codec(lambda: sets, len(sets), CODEC_CONFIG, rng=stream(17))
+        codec, reduced = fit_codec(sets.__getitem__, range(len(sets)), CODEC_CONFIG, rng=stream(17))
         assert reduced.shape[0] == sum(ds.descriptors.shape[0] for ds in sets)
         for ds, rows in zip(sets, np.split(reduced, len(sets))):
             assert np.array_equal(rows, augment(codec.pca, ds))
-
-    @pytest.mark.parametrize("n_samples", [5, 7])
-    def test_wrong_sample_count_rejected(self, n_samples):
-        sets = toy_descriptor_sets()
-        with pytest.raises(ValueError, match="descriptor sets to fit on"):
-            fit_codec(lambda: sets, n_samples, CODEC_CONFIG, rng=stream(18))
 
     def test_ragged_set_rejected(self):
         sets = toy_descriptor_sets()
@@ -637,28 +612,7 @@ class TestCodec:
             level_of_row=short.level_of_row[:-1],
         )
         with pytest.raises(ValueError, match="descriptor set 3 is"):
-            fit_codec(lambda: sets, len(sets), CODEC_CONFIG, rng=stream(19))
-
-    def test_one_shot_iterator_rejected(self):
-        """The sets are read twice; an iterator has none left for the second
-        pass, whose blocks of the reduced pool would stay unset."""
-        sets = iter(toy_descriptor_sets())
-        with pytest.raises(ValueError, match=r"expected 6 descriptor sets to fit on \(second pass\), got 0"):
-            fit_codec(lambda: sets, 6, CODEC_CONFIG, rng=stream(21))
-
-    @pytest.mark.parametrize("second", [slice(0, 5), slice(0, 7)], ids=["fewer", "more"])
-    def test_second_pass_with_another_count_rejected(self, second):
-        sets = toy_descriptor_sets(n_sets=7)
-        passes = iter([sets[:6], sets[second]])
-        with pytest.raises(ValueError, match=r"descriptor sets to fit on \(second pass\)"):
-            fit_codec(lambda: next(passes), 6, CODEC_CONFIG, rng=stream(22))
-
-    def test_second_pass_with_another_shape_rejected(self):
-        sets = toy_descriptor_sets()
-        longer = toy_descriptor_sets(frames=65)
-        passes = iter([sets, sets[:2] + longer[2:3] + sets[3:]])
-        with pytest.raises(ValueError, match=r"descriptor set 2 is .* \(second pass\)"):
-            fit_codec(lambda: next(passes), len(sets), CODEC_CONFIG, rng=stream(23))
+            fit_codec(sets.__getitem__, range(len(sets)), CODEC_CONFIG, rng=stream(19))
 
     def test_fit_never_calls_numpys_qr(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -666,15 +620,15 @@ class TestCodec:
 
         monkeypatch.setattr(np.linalg, "qr", refuse)
         sets = toy_descriptor_sets()
-        fit_codec(lambda: sets, len(sets), CODEC_CONFIG, rng=stream(24))
+        fit_codec(sets.__getitem__, range(len(sets)), CODEC_CONFIG, rng=stream(24))
 
     def test_no_descriptors_rejected(self):
         with pytest.raises(ValueError, match="no descriptors"):
-            fit_codec(lambda: [], 0, CODEC_CONFIG, rng=stream(20))
+            fit_codec([].__getitem__, range(0), CODEC_CONFIG, rng=stream(20))
 
     def test_saved_codec_holds_the_fit_bit_for_bit(self, tmp_path):
         sets = toy_descriptor_sets()
-        codec, _ = fit_codec(lambda: sets, len(sets), CODEC_CONFIG, rng=stream(16))
+        codec, _ = fit_codec(sets.__getitem__, range(len(sets)), CODEC_CONFIG, rng=stream(16))
         path = tmp_path / "codec.json"
         save_codec(codec, path)
         # strict JSON: a NaN or Infinity token fails the test

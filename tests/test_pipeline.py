@@ -84,17 +84,15 @@ class TestEncodeStage:
         test, is encode_sample on that sample's own augmented descriptors."""
         config = tiny_config(**overrides)
         schedule = schedule_of(config, tiny_dataset.frames)
-        codec, x, zero_flags = encode(tiny_dataset, schedule, config, stream(config.seed, 2))
+        codec, x = encode(tiny_dataset, schedule, config, stream(config.seed, 2))
         sets = [extract_series_descriptors(s, schedule, config.window) for s in tiny_dataset.series]
-        train = [sets[i] for i in tiny_dataset.train_idx]
-        want, _ = fit_codec(lambda: train, len(train), config, rng=stream(config.seed, 2))
+        want, _ = fit_codec(sets.__getitem__, tiny_dataset.train_idx, config, rng=stream(config.seed, 2))
         for part in ("pca", "gmm"):
             for name, value in vars(getattr(want, part)).items():
                 assert np.array_equal(getattr(getattr(codec, part), name), value), (part, name)
         assert x.shape == (len(sets), want.encoding_dim)
         for row, ds in zip(x, sets):
             assert np.array_equal(row, encode_sample(want, augment(want.pca, ds)).vector)
-        assert not zero_flags.any()
 
     def test_encode_stage_never_holds_the_training_sets_beside_the_pool(self):
         """The stage's traced peak stays under 2.5 training pools. With the
@@ -125,19 +123,21 @@ class TestEncodeStage:
         assert peak <= 2.5 * pool_bytes
 
     def test_test_split_goes_one_sample_at_a_time(self, monkeypatch):
-        """From the codec fit's return to the encodings' return, the traced
+        """From the codec fit's return to the stage's return, the traced
         peak above the live level at the fit's return stays below the test
-        split's descriptor sets together. Each test sample is extracted and
-        augmented on its own, so only its augmented rows outlive it (about
-        0.66 of the sets); extracting the split first and augmenting it
-        after holds every set beside those rows (about 1.70)."""
+        split's descriptor sets together. Each test sample is extracted,
+        augmented and encoded on its own, so only its encoding row outlives
+        it (about 0.05 of the sets; keeping each sample's augmented rows
+        until all are encoded gave about 0.66); extracting the split first
+        and augmenting it after holds every set beside those rows (about
+        1.70)."""
         config, dataset = pool_config_and_dataset()
         schedule = schedule_of(config, dataset.frames)
         first = extract_series_descriptors(dataset.series[dataset.test_idx[0]], schedule, config.window)
         test_bytes = len(dataset.test_idx) * first.descriptors.nbytes
         del first
         marks = {}
-        fit, encode_all = pipeline.fit_codec, pipeline.encode_dataset
+        fit = pipeline.fit_codec
 
         def fit_then_mark(*args, **kwargs):
             result = fit(*args, **kwargs)
@@ -145,19 +145,45 @@ class TestEncodeStage:
             tracemalloc.reset_peak()
             return result
 
-        def encode_then_mark(*args, **kwargs):
-            result = encode_all(*args, **kwargs)
-            marks["peak"] = tracemalloc.get_traced_memory()[1]
-            return result
-
         monkeypatch.setattr(pipeline, "fit_codec", fit_then_mark)
-        monkeypatch.setattr(pipeline, "encode_dataset", encode_then_mark)
+        tracemalloc.start()
+        try:
+            encode(dataset, schedule, config, stream(config.seed, 2))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - marks["live"] < test_bytes
+
+    def test_reduced_pool_is_released_before_the_test_split(self, monkeypatch):
+        """When the first test sample is extracted, less than half the
+        reduced pool's bytes are live: the training rows are encoded from
+        its blocks and then it is dropped, views included. About 0.04 of
+        it is live there (the encodings matrix and the codec); holding its
+        blocks until every sample is encoded kept about 1.01."""
+        config, dataset = pool_config_and_dataset()
+        schedule = schedule_of(config, dataset.frames)
+        fit, extract = pipeline.fit_codec, pipeline.extract_series_descriptors
+        reduced_bytes, live = [], []
+
+        def fit_and_measure(*args, **kwargs):
+            codec, reduced = fit(*args, **kwargs)
+            reduced_bytes.append(reduced.nbytes)
+            return codec, reduced
+
+        def extract_and_mark(*args, **kwargs):
+            live.append(tracemalloc.get_traced_memory()[0])
+            return extract(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "fit_codec", fit_and_measure)
+        monkeypatch.setattr(pipeline, "extract_series_descriptors", extract_and_mark)
         tracemalloc.start()
         try:
             encode(dataset, schedule, config, stream(config.seed, 2))
         finally:
             tracemalloc.stop()
-        assert marks["peak"] - marks["live"] < test_bytes
+        # the fit extracts each training sample twice
+        assert len(live) == 2 * len(dataset.train_idx) + len(dataset.test_idx)
+        assert live[2 * len(dataset.train_idx)] < 0.5 * reduced_bytes[0]
 
     def test_codec_fit_holds_one_copy_of_the_pool(self):
         """The fit's traced peak stays near one pool (about 1.0, since the
@@ -168,7 +194,7 @@ class TestEncodeStage:
         pool_bytes = sum(ds.descriptors.nbytes for ds in sets)
         tracemalloc.start()
         try:
-            fit_codec(lambda: sets, len(sets), config, rng=stream(config.seed, 2))
+            fit_codec(sets.__getitem__, range(len(sets)), config, rng=stream(config.seed, 2))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -191,7 +217,7 @@ class TestEncodeStage:
         monkeypatch.setattr(encoder, "gmm_fit", spy)
         tracemalloc.start()
         try:
-            _, reduced = fit_codec(lambda: sets, len(sets), config, rng=stream(config.seed, 2))
+            _, reduced = fit_codec(sets.__getitem__, range(len(sets)), config, rng=stream(config.seed, 2))
         finally:
             tracemalloc.stop()
         assert len(live_at_em) == 1
@@ -258,7 +284,7 @@ class TestGrid:
         assert list(grid) == [schedule.label for schedule in schedules]
         train, test, y = tiny_dataset.train_idx, tiny_dataset.test_idx, tiny_dataset.labels
         for i, schedule in enumerate(schedules):
-            _, x, _ = encode(tiny_dataset, schedule, config, stream(config.seed, 2, i))
+            _, x = encode(tiny_dataset, schedule, config, stream(config.seed, 2, i))
             [clf] = svm_train_many([x[train]], y[train], config.svm_c, [(config.seed, 3, i)])
             report = evaluate(clf, x[test], y[test])
             want = grid[schedule.label].report
