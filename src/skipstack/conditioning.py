@@ -29,12 +29,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .features import FeatureMatrix, SkipSchedule, budget, mifs_stack
+from .features import FeatureMatrix, SkipSchedule, budget
 from .latent import LatentModel, sample_difference_matrix
 from .streams import stream
 
 # lambda_min below this fraction of lambda_max means numerically singular
 RANK_DEFICIENT_RATIO = 1e-12
+# bytes of per-trial k x k matrices reduced in one stacked call (256 at k = 4)
+BLOCK_BYTES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -68,25 +70,40 @@ def condition_number(p) -> ConditionReport:
     Requires T >= k; a smallest eigenvalue below 1e-12 of the largest
     reports beta as +inf.
     """
-    p = np.asarray(p, dtype=float)
+    return ConditionReport(*map(float, _betas(_normalized_gram(np.asarray(p, dtype=float)))))
+
+
+def _normalized_gram(p: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     k, t = p.shape
     if t < k:
         raise ValueError(f"need at least k={k} columns, got {t} (rank-deficient by construction)")
-    gram = (p @ p.T) / t
-    eigs = np.linalg.eigvalsh(gram)
-    lam_min = max(float(eigs[0]), 0.0)
-    lam_max = max(float(eigs[-1]), 0.0)
-    if lam_min <= RANK_DEFICIENT_RATIO * lam_max or lam_max == 0.0:
-        beta = math.inf
-    else:
-        beta = lam_max / lam_min
-    return ConditionReport(beta_empirical=beta, lambda_max=lam_max, lambda_min=lam_min)
+    gram = np.matmul(p, p.T, out=out)
+    gram /= t
+    return gram
 
 
-def _sandwich(num_scale: float, w1: float, wk: float, d: float) -> tuple[float, float]:
-    upper = math.inf if wk - d <= 0 else (num_scale * w1 + d) / (wk - d)
-    lower = max((num_scale * w1 - d) / (wk + d), 1.0)
-    return lower, upper
+def _betas(grams: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """beta, lambda_max and lambda_min of a Gram matrix or a stack of them;
+    an extreme eigenvalue below 0 counts as 0."""
+    eigs = np.linalg.eigvalsh(grams)
+    lam_min, lam_max = (np.where(e < 0.0, 0.0, e) for e in (eigs[..., 0], eigs[..., -1]))
+    singular = (lam_min <= RANK_DEFICIENT_RATIO * lam_max) | (lam_max == 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(singular, np.inf, lam_max / lam_min), lam_max, lam_min
+
+
+def _blocked(trials: int, shape: tuple[int, int], fill, reduce) -> np.ndarray:
+    """One value per trial: ``fill(trial, out)`` writes each trial's matrix
+    into a block of at most BLOCK_BYTES, which ``reduce`` takes in one call."""
+    values = np.empty(trials)
+    size = max(1, min(trials, BLOCK_BYTES // (8 * shape[0] * shape[1])))
+    block = np.empty((size, *shape))
+    for start in range(0, trials, size):
+        stack = block[: trials - start]
+        for offset, out in enumerate(stack):
+            fill(start + offset, out)
+        values[start : start + len(stack)] = reduce(stack)
+    return values
 
 
 def _bounds(gamma1, gammak, k: int, c: float, taus, budgets, delta: float) -> BoundReport:
@@ -109,18 +126,13 @@ def _bounds(gamma1, gammak, k: int, c: float, taus, budgets, delta: float) -> Bo
         w1 = float(np.sum(weights * np.exp(-gamma1 / taus)))
         wk = float(np.sum(weights * np.exp(-gammak / taus)))
     d = 2.0 * math.sqrt(k * (1.0 / total) * (1.0 + c) * math.log(2.0 * k / delta))
-    lower, upper = _sandwich(1.0 + c, w1, wk, d)
+    upper = math.inf if wk - d <= 0 else ((1.0 + c) * w1 + d) / (wk - d)
+    lower = max(((1.0 + c) * w1 - d) / (wk + d), 1.0)
     return BoundReport(bound_lower=lower, bound_upper=upper, delta_tau=d)
 
 
 def theorem1_bounds(
-    gamma1: float,
-    gammak: float,
-    c: float,
-    tau: float,
-    k: int,
-    t: int,
-    delta: float,
+    gamma1: float, gammak: float, c: float, tau: float, k: int, t: int, delta: float
 ) -> BoundReport:
     """Probabilistic sandwich for beta at a fixed skip, confidence 1 - delta."""
     if gamma1 > gammak:
@@ -143,18 +155,10 @@ def corollary1_lower(m: int, gamma1: float, tau: float, c: float) -> CorollaryBo
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
     x = gamma1 / tau
-    return CorollaryBound(
-        exponential=(1.0 + c) * math.exp(x) ** m,
-        polynomial=(1.0 + c) * (1.0 + x) ** m,
-    )
+    return CorollaryBound(exponential=(1.0 + c) * math.exp(x) ** m, polynomial=(1.0 + c) * (1.0 + x) ** m)
 
 
-def theorem2_bounds(
-    gammas,
-    c: float,
-    schedule: SkipSchedule,
-    delta: float,
-) -> BoundReport:
+def theorem2_bounds(gammas, c: float, schedule: SkipSchedule, delta: float) -> BoundReport:
     """Sandwich for beta of the stacked matrix over a skip schedule.
 
     The exp terms become budget-weighted averages over the schedule's
@@ -164,16 +168,9 @@ def theorem2_bounds(
     gammas = np.asarray(gammas, dtype=float)
     if np.any(np.diff(gammas) < 0):
         raise ValueError("gammas must be sorted non-decreasing")
-    levels = schedule.included_levels
-    return _bounds(
-        gammas[0],
-        gammas[-1],
-        gammas.size,
-        c,
-        [schedule.tau(l) for l in levels],
-        [schedule.budget(l) for l in levels],
-        delta,
-    )
+    taus = [schedule.tau(l) for l in schedule.included_levels]
+    budgets = [schedule.budget(l) for l in schedule.included_levels]
+    return _bounds(gammas[0], gammas[-1], gammas.size, c, taus, budgets, delta)
 
 
 def bernstein_bound(b: float, norm_es: float, p_dim: int, delta: float) -> float:
@@ -190,14 +187,7 @@ def bernstein_bound(b: float, norm_es: float, p_dim: int, delta: float) -> float
     return math.sqrt(2.0 * b * norm_es * log_term) + (b / 3.0) * log_term
 
 
-def bernstein_coverage_test(
-    p_dim: int,
-    n: int,
-    b: float,
-    delta: float,
-    trials: int,
-    seed,
-) -> float:
+def bernstein_coverage_test(p_dim: int, n: int, b: float, delta: float, trials: int, seed) -> float:
     """Fraction of trials where |S - ES| exceeds the concentration radius.
 
     Each trial sums n outer products of sign vectors scaled to squared
@@ -211,15 +201,14 @@ def bernstein_coverage_test(
     norm_es = n * b / p_dim
     radius = bernstein_bound(b, norm_es, p_dim, delta)
     mean = norm_es * np.eye(p_dim)
-    exceed = 0
-    for trial in range(trials):
-        rng = stream(seed, trial)
-        x = (rng.integers(0, 2, size=(n, p_dim)) * 2.0 - 1.0) * scale
-        s = x.T @ x
-        deviation = float(np.linalg.norm(s - mean, ord=2))
-        if deviation > radius:
-            exceed += 1
-    return exceed / trials
+
+    def deviation(trial: int, out: np.ndarray) -> None:
+        x = (stream(seed, trial).integers(0, 2, size=(n, p_dim)) * 2.0 - 1.0) * scale
+        np.matmul(x.T, x, out=out)
+        out -= mean
+
+    norms = _blocked(trials, (p_dim, p_dim), deviation, lambda s: np.linalg.norm(s, ord=2, axis=(1, 2)))
+    return int(np.count_nonzero(norms > radius)) / trials
 
 
 @dataclass
@@ -243,8 +232,8 @@ def spectrum_curve(source) -> SpectrumCurve:
 
     Accepts a bare matrix (features as columns) or a FeatureMatrix (the
     observed matrix f when present, else p). Needs >= 10 feature columns;
-    an all-zero matrix has no spectrum and is rejected. Shorter curves come
-    out when the matrix has fewer than 10 rows.
+    an all-zero or non-finite matrix has no spectrum and is rejected.
+    Shorter curves come out when the matrix has fewer than 10 rows.
     """
     if isinstance(source, FeatureMatrix):
         matrix = source.f if source.f is not None else source.p
@@ -255,14 +244,13 @@ def spectrum_curve(source) -> SpectrumCurve:
     rows, cols = matrix.shape
     if cols < 10:
         raise ValueError(f"need at least 10 feature columns, got {cols}")
+    if not np.isfinite(matrix).all():
+        raise ValueError("matrix has non-finite entries (NaN or inf), so no spectrum")
     if not matrix.any():
         raise ValueError("all-zero matrix has no spectrum")
     # eigen-decompose the smaller Gram matrix; its eigenvalues are the
     # squared singular values
-    if rows <= cols:
-        gram = matrix @ matrix.T
-    else:
-        gram = matrix.T @ matrix
+    gram = matrix @ matrix.T if rows <= cols else matrix.T @ matrix
     eigs = np.linalg.eigvalsh(gram)[::-1]
     keep = min(10, eigs.size)
     sigmas = np.sqrt(np.clip(eigs[:keep], 0.0, None))
@@ -283,37 +271,31 @@ class CoverageSummary:
     var_beta: float
 
 
-def _beta_within(beta: float, lower: float, upper: float) -> bool:
-    if math.isinf(beta):
-        # a singular Gram matrix is only covered by a vacuous upper bound
-        return math.isinf(upper)
-    return lower <= beta <= upper
-
-
 def coverage_experiment(
-    model: LatentModel,
-    skip,
-    delta: float,
-    trials: int,
-    seed,
-    *,
-    t_samples: int | None = None,
+    model: LatentModel, skip, delta: float, trials: int, seed, *, t_samples: int | None = None
 ) -> CoverageSummary:
     """Monte-Carlo sandwich coverage for a fixed skip or a full schedule.
 
     ``skip`` is a single tau (fixed-skip route, optionally with an explicit
     per-trial budget ``t_samples``) or a SkipSchedule (stacked route,
-    each trial one ``mifs_stack`` of the schedule).
-    Trial i draws from the sub-stream (seed, i), so trials are independent
-    and may be evaluated in any order or in parallel.
+    each trial the coefficient matrix of one ``mifs_stack`` of the
+    schedule). Trial i draws from the sub-stream (seed, i), so trials are
+    independent and may be evaluated in any order or in parallel.
     """
     if trials < 100:
         raise ValueError(f"trials must be >= 100, got {trials}")
     if isinstance(skip, SkipSchedule):
         bounds = theorem2_bounds(model.gammas, model.c, skip, delta)
+        levels = skip.included_levels
+        edges = np.cumsum([0] + [skip.budget(l) for l in levels])
 
         def draw(trial: int) -> np.ndarray:
-            return mifs_stack(model, skip, (seed, trial), observe=False).p
+            # mifs_stack's columns: level l's budget from the stream (seed, trial, l)
+            p = np.empty((model.k, edges[-1]))
+            for level, start, stop in zip(levels, edges, edges[1:]):
+                rng = stream((seed, trial), level)
+                p[:, start:stop] = sample_difference_matrix(model, skip.tau(level), stop - start, rng)
+            return p
 
     else:
         tau = float(skip)
@@ -325,13 +307,12 @@ def coverage_experiment(
         def draw(trial: int) -> np.ndarray:
             return sample_difference_matrix(model, tau, t, stream(seed, trial))
 
-    betas = np.empty(trials)
-    within = np.empty(trials, dtype=bool)
-    for trial in range(trials):
-        beta = condition_number(draw(trial)).beta_empirical
-        betas[trial] = beta
-        within[trial] = _beta_within(beta, bounds.bound_lower, bounds.bound_upper)
-    finite = betas[np.isfinite(betas)]
+    def gram(trial: int, out: np.ndarray) -> None:
+        _normalized_gram(draw(trial), out)
+
+    betas = _blocked(trials, (model.k, model.k), gram, lambda grams: _betas(grams)[0])
+    # an infinite beta (singular Gram) is covered only by a vacuous upper bound
+    within = (bounds.bound_lower <= betas) & (betas <= bounds.bound_upper)
     return CoverageSummary(
         betas=betas,
         within=within,
@@ -340,7 +321,7 @@ def coverage_experiment(
         delta_tau=bounds.delta_tau,
         coverage=float(np.mean(within)),
         mean_beta=float(np.mean(betas)),
-        var_beta=float(np.var(betas)) if finite.size == trials else math.inf,
+        var_beta=float(np.var(betas)) if np.isfinite(betas).all() else math.inf,
     )
 
 

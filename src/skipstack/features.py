@@ -149,7 +149,9 @@ def build_feature_matrix(
         if model.sigma > 0:
             eps = rng.normal(0.0, model.sigma, size=(model.d, t))
             eps_tau = rng.normal(0.0, model.sigma, size=(model.d, t))
-            f = f + (eps_tau - eps)
+            # a huge sigma overflows here; spectrum_curve rejects the result
+            with np.errstate(over="ignore", invalid="ignore"):
+                f = f + (eps_tau - eps)
     return FeatureMatrix(p=p, f=f)
 
 

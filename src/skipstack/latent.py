@@ -17,6 +17,7 @@ times are independent draws.
 """
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -75,14 +76,7 @@ class LatentModel:
             raise ValueError("columns of xbar are not well separated")
 
 
-def new_model(
-    k: int,
-    d: int,
-    gammas,
-    c: float,
-    sigma: float,
-    seed: int,
-) -> LatentModel:
+def new_model(k: int, d: int, gammas, c: float, sigma: float, seed: int) -> LatentModel:
     """Build a model with a seeded random orthonormal direction matrix."""
     gammas = np.asarray(gammas, dtype=float)
     raw = stream(seed, 0).standard_normal((d, k))
@@ -114,6 +108,13 @@ def flip_band(gamma: float, tau: float, c: float) -> tuple[float, float]:
     return lo, hi
 
 
+@functools.lru_cache(maxsize=64)
+def _bands(gammas: tuple, tau: float, c: float) -> tuple[np.ndarray, np.ndarray]:
+    """Flip bands of all components as arrays (lo, hi - lo), kept per skip."""
+    lo, hi = np.array([flip_band(g, tau, c) for g in gammas]).T
+    return lo, hi - lo
+
+
 def sample_difference_matrix(
     model: LatentModel,
     tau: float,
@@ -124,16 +125,29 @@ def sample_difference_matrix(
 
     Columns are i.i.d.; entries live in {-2, 0, +2}. Row i carries second
     moment ``4 E[q_i]`` inside the dynamics band of component i.
+
+    Stream contract, row by row: ``rng.integers(0, 2, n)`` gives a, the
+    signs alpha = 2a - 1; then one ``rng.random(2n)`` gives (v, u). The flip
+    probabilities q = lo + (hi - lo) v are what ``rng.uniform(lo, hi, n)``
+    returns, and column j flips when u[j] < q[j].
     """
     if n_cols < 1:
         raise ValueError(f"n_cols must be >= 1, got {n_cols}")
-    bands = [flip_band(g, tau, model.c) for g in model.gammas]
+    lo, width = _bands(tuple(model.gammas), tau, model.c)
     p = np.empty((model.k, n_cols))
-    for i, (lo, hi) in enumerate(bands):
-        alpha = rng.integers(0, 2, size=n_cols) * 2.0 - 1.0
-        q = rng.uniform(lo, hi, size=n_cols)
-        flipped = rng.random(n_cols) < q
-        p[i] = np.where(flipped, -2.0 * alpha, 0.0)
+    # rows whose uniforms are held at once: all k at harness sizes, one at 10^6 columns
+    rows = max(1, min(model.k, (1 << 16) // n_cols))
+    draws = np.empty((rows, 2 * n_cols))
+    for first in range(0, model.k, rows):
+        block, uniforms = p[first : first + rows], draws[: model.k - first]
+        for row, out in zip(block, uniforms):
+            np.multiply(rng.integers(0, 2, size=n_cols), -4.0, out=row)
+            rng.random(out=out)
+        q, u = uniforms[:, :n_cols], uniforms[:, n_cols:]
+        q *= width[first : first + rows, None]
+        q += lo[first : first + rows, None]
+        block += 2.0  # -2 alpha, what a flip leaves
+        np.putmask(block, u >= q, 0.0)
     return p
 
 

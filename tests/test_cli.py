@@ -203,6 +203,9 @@ class TestSimulationVerbs:
             ("cost-report", dict(base_tau=5e-324), "no finite sample budget"),
             ("sim-bounds", dict(base_tau=5e-324), "no finite sample budget"),
             ("bernstein-check", dict(base_tau=5e-324), "no finite sample budget"),
+            # the noise overflows to inf and NaN; LAPACK's eigensolver used to
+            # fail on it with "Eigenvalues did not converge"
+            ("spectrum", dict(sigma=1e308), "matrix has non-finite entries"),
         ],
     )
     def test_bad_theory_input_exit_2(self, tmp_path, capsys, verb, overrides, message):

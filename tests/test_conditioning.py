@@ -1,6 +1,7 @@
 """Tests for condition-number bounds, concentration and spectra."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,8 +19,8 @@ from skipstack.conditioning import (
     theorem1_bounds,
     theorem2_bounds,
 )
-from skipstack.features import SkipSchedule, mifs_stack
-from skipstack.latent import new_model
+from skipstack.features import SkipSchedule, budget, mifs_stack
+from skipstack.latent import new_model, sample_difference_matrix
 from skipstack.streams import stream
 
 
@@ -293,3 +294,176 @@ class TestBinomialTail:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             binomial_tail_probability(11, 10, 0.5)
+
+
+def _traced_peak(fn) -> int:
+    """Bytes ``fn()`` allocates above what was live when it started."""
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn()
+        return tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+
+
+def _covered(beta: float, lower: float, upper: float) -> bool:
+    """The per-trial coverage rule: a singular trial (infinite beta) is
+    covered only by a vacuous (infinite) upper bound."""
+    if math.isinf(beta):
+        return math.isinf(upper)
+    return lower <= beta <= upper
+
+
+class TestOneTrialPath:
+    """Batched coverage trials are, bit for bit, condition_number of the
+    trial matrix built from the public functions, one trial at a time."""
+
+    G1 = 0.00125
+
+    def model(self, gammas=None, sigma=0.0):
+        g1 = self.G1
+        gammas = [g1, g1, 4 * g1, 4 * g1] if gammas is None else gammas
+        return new_model(k=4, d=4, gammas=gammas, c=0.1, sigma=sigma, seed=0)
+
+    def check(self, summary, draw):
+        want = np.array([condition_number(draw(trial)).beta_empirical for trial in range(summary.betas.size)])
+        assert summary.betas.tobytes() == want.tobytes()
+        covered = [_covered(b, summary.bound_lower, summary.bound_upper) for b in want]
+        assert summary.within.tolist() == covered
+
+    def test_fixed_route(self):
+        model, tau = self.model(), 1 / 400
+        # 300 trials: one full block of 256 and a partial one
+        summary = coverage_experiment(model, tau, 0.1, 300, seed=9)
+        self.check(summary, lambda t: sample_difference_matrix(model, tau, budget(tau), stream(9, t)))
+
+    @pytest.mark.parametrize("t_samples", [4, 9, 2000])
+    def test_fixed_route_with_explicit_budget(self, t_samples):
+        model = self.model()
+        summary = coverage_experiment(model, 0.01, 0.1, 100, seed=4, t_samples=t_samples)
+        self.check(summary, lambda t: sample_difference_matrix(model, 0.01, t_samples, stream(4, t)))
+
+    def test_singular_trials(self):
+        model = self.model(gammas=[1.0, 1.0, 8.0, 8.0])
+        summary = coverage_experiment(model, 0.01, 0.1, 100, seed=8, t_samples=2000)
+        assert np.all(np.isinf(summary.betas))
+        self.check(summary, lambda t: sample_difference_matrix(model, 0.01, 2000, stream(8, t)))
+
+    @pytest.mark.parametrize(
+        "include", [(), (False, True, False, True), (True, False, False, False), (False, False, True, True)]
+    )
+    @pytest.mark.parametrize("sigma", [0.0, 0.05])
+    def test_stacked_route(self, include, sigma):
+        model = self.model(sigma=sigma)
+        schedule = SkipSchedule(base_tau=1 / 400, levels=3, include=include)
+        summary = coverage_experiment(model, schedule, 0.1, 260, seed=3)
+        self.check(summary, lambda t: mifs_stack(model, schedule, (3, t), observe=False).p)
+
+
+def _bernstein_reference(p_dim, n, b, delta, trials, seed) -> float:
+    """bernstein_coverage_test one trial at a time."""
+    scale = math.sqrt(b / p_dim)
+    norm_es = n * b / p_dim
+    radius = bernstein_bound(b, norm_es, p_dim, delta)
+    exceed = 0
+    for trial in range(trials):
+        x = (stream(seed, trial).integers(0, 2, size=(n, p_dim)) * 2.0 - 1.0) * scale
+        exceed += float(np.linalg.norm(x.T @ x - norm_es * np.eye(p_dim), ord=2)) > radius
+    return exceed / trials
+
+
+class TestBernsteinOneTrialPath:
+    @pytest.mark.parametrize("delta", [1.0, 4.0, 6.0, 8.0])
+    def test_blocked_rate_is_the_per_trial_rate(self, delta):
+        # these deltas give rates of about 0.01, 0.45, 0.87 and 1
+        got = bernstein_coverage_test(4, 50, 4.0, delta, trials=300, seed=5)
+        assert got == _bernstein_reference(4, 50, 4.0, delta, 300, 5)
+        assert 0.0 < got
+
+
+class TestHarnessMemory:
+    """Trials are reduced in fixed-size blocks, so the harness holds a few
+    scalars per trial and never a matrix per trial."""
+
+    def test_coverage_peak_grows_by_scalars_per_trial(self):
+        gammas = np.geomspace(0.002, 0.02, 8)
+        model = new_model(k=8, d=8, gammas=gammas, c=0.1, sigma=0.0, seed=0)
+
+        def peak(trials: int) -> int:
+            return _traced_peak(lambda: coverage_experiment(model, 0.01, 0.1, trials, 1, t_samples=16))
+
+        # eight doubles per trial; one 8 x 8 Gram per trial would be 64
+        assert peak(3000) - peak(300) <= 8 * 8 * 2700
+
+    def test_bernstein_peak_grows_by_scalars_per_trial(self):
+        def peak(trials: int) -> int:
+            return _traced_peak(lambda: bernstein_coverage_test(8, 16, 4.0, 0.1, trials, 2))
+
+        assert peak(3000) - peak(300) <= 4 * 8 * 2700
+
+
+class TestNumpyBehaviourPinned:
+    """The batched harness gives the per-trial outputs bit for bit because
+    of these numpy behaviours; an upgrade that changes one fails here by
+    name. (The encoder's pinned behaviours are in test_encoder.py.)"""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 1500),
+        lo=st.floats(0.0, 0.5),
+        width=st.floats(0.0, 0.5),
+    )
+    def test_uniform_then_random_is_one_random_call(self, seed, n, lo, width):
+        hi = lo + width
+        one, two = np.random.default_rng(seed), np.random.default_rng(seed)
+        q, u = one.uniform(lo, hi, n), one.random(n)
+        v = two.random(2 * n)
+        assert q.tobytes() == (lo + (hi - lo) * v[:n]).tobytes()
+        in_place = v[:n].copy()
+        in_place *= hi - lo
+        in_place += lo
+        assert q.tobytes() == in_place.tobytes()
+        assert u.tobytes() == v[n:].tobytes()
+        assert one.random() == two.random()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        gammas=st.lists(st.floats(1e-6, 50.0), min_size=1, max_size=12),
+        tau=st.floats(1e-4, 1.0),
+    )
+    def test_exp_of_an_array_is_exp_of_each_element(self, gammas, tau):
+        each = [np.exp(-np.float64(g) / tau) for g in gammas]
+        assert np.exp(-np.asarray(gammas) / tau).tobytes() == np.array(each).tobytes()
+
+    @pytest.mark.parametrize("k", [1, 2, 4, 9])
+    def test_stacked_eigvalsh_is_per_matrix(self, k):
+        rng = np.random.default_rng(k)
+        p = rng.integers(-1, 2, size=(300, k, 3 * k)) * 2.0
+        p[::7, 0] = 0.0  # singular Grams too
+        grams = p @ p.transpose(0, 2, 1) / (3 * k)
+        grams[::11] = rng.normal(size=(k, 3 * k)) @ rng.normal(size=(3 * k, k))
+        grams[::11] += grams[::11].transpose(0, 2, 1)
+        per_matrix = np.array([np.linalg.eigvalsh(g) for g in grams])
+        assert np.linalg.eigvalsh(grams).tobytes() == per_matrix.tobytes()
+
+    @pytest.mark.parametrize("shape", [(4, 400), (4, 1000), (9, 37), (50, 4), (400, 8)])
+    def test_matmul_into_a_block_is_the_plain_product(self, shape):
+        rng = np.random.default_rng(shape[0])
+        for p in (rng.normal(size=shape), (rng.integers(0, 2, size=shape) * 2.0 - 1.0) * 0.7):
+            block = np.empty((3, shape[0], shape[0]))
+            np.matmul(p, p.T, out=block[1])
+            assert block[1].tobytes() == (p @ p.T).tobytes()
+            block = np.empty((3, shape[1], shape[1]))
+            np.matmul(p.T, p, out=block[2])
+            assert block[2].tobytes() == (p.T @ p).tobytes()
+
+    @pytest.mark.parametrize("k", [1, 4, 8])
+    def test_stacked_spectral_norm_is_per_matrix(self, k):
+        rng = np.random.default_rng(k)
+        s = rng.normal(size=(300, k, k)) * 10.0 ** rng.integers(-3, 4, size=(300, 1, 1))
+        s += s.transpose(0, 2, 1)
+        per_matrix = np.array([np.linalg.norm(m, ord=2) for m in s])
+        assert np.linalg.norm(s, ord=2, axis=(1, 2)).tobytes() == per_matrix.tobytes()

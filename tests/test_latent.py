@@ -7,9 +7,12 @@ deterministic.
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skipstack.latent import (
     LatentModel,
@@ -150,6 +153,62 @@ class TestDifferenceMatrix:
         a = sample_difference_matrix(model, tau=0.2, n_cols=500, rng=stream(31, 0))
         b = sample_difference_matrix(model, tau=0.2, n_cols=500, rng=stream(31, 0))
         assert np.array_equal(a, b)
+
+
+def _reference_difference_matrix(model, tau, n_cols, rng):
+    """The sampler as first written, three generator calls per row: the
+    stream contract that sample_difference_matrix must keep bit for bit."""
+    p = np.empty((model.k, n_cols))
+    for i, gamma in enumerate(model.gammas):
+        lo, hi = flip_band(gamma, tau, model.c)
+        alpha = rng.integers(0, 2, size=n_cols) * 2.0 - 1.0
+        q = rng.uniform(lo, hi, size=n_cols)
+        flipped = rng.random(n_cols) < q
+        p[i] = np.where(flipped, -2.0 * alpha, 0.0)
+    return p
+
+
+class TestStreamContract:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        gammas=st.lists(st.floats(1e-3, 2.0), min_size=1, max_size=6),
+        c=st.floats(0.0, 0.9),
+        tau=st.floats(0.05, 1.0),
+        n_cols=st.integers(1, 700),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_draws_match_the_reference_sampler(self, gammas, c, tau, n_cols, seed):
+        gammas = sorted(gammas)
+        model = new_model(k=len(gammas), d=len(gammas), gammas=gammas, c=c, sigma=0.0, seed=0)
+        ours, ref = stream(seed, 1), stream(seed, 1)
+        try:
+            want = _reference_difference_matrix(model, tau, n_cols, ref)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match="gamma too small") as caught:
+                sample_difference_matrix(model, tau, n_cols, ours)
+            assert str(caught.value) == str(exc)
+            return
+        assert sample_difference_matrix(model, tau, n_cols, ours).tobytes() == want.tobytes()
+        # and the stream is left where the reference leaves it
+        assert ours.random() == ref.random()
+
+    def test_peak_memory_at_most_the_reference(self):
+        model = new_model(k=2, d=2, gammas=[1.0, 3.0], c=0.1, sigma=0.0, seed=2)
+
+        def peak(sampler) -> int:
+            tracemalloc.start()
+            try:
+                entry = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                sampler(model, 0.5, 10**6, stream(2, 0))
+                return tracemalloc.get_traced_memory()[1] - entry
+            finally:
+                tracemalloc.stop()
+
+        ours = peak(sample_difference_matrix)
+        assert ours <= peak(_reference_difference_matrix)
+        # the matrix, one row's 2n uniforms and n int64 signs, and a little slack
+        assert ours <= 8 * 2 * 10**6 + 24 * 10**6 + 2**17
 
 
 class TestPersistence:
