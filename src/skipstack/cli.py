@@ -56,7 +56,7 @@ PLOT_HEADERS = {
 
 
 def _jsonable(value):
-    """JSON-safe copy: non-finite floats become strings."""
+    """JSON-safe copy: numpy scalars become Python ones, non-finite floats strings."""
     if isinstance(value, dict):
         return {key: _jsonable(item) for key, item in value.items()}
     if isinstance(value, (list, tuple)):
@@ -66,6 +66,8 @@ def _jsonable(value):
         return value if math.isfinite(value) else str(value)
     if isinstance(value, np.integer):
         return int(value)
+    if isinstance(value, np.bool_):
+        return bool(value)
     return value
 
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .features import FeatureMatrix, SkipSchedule, budget
+from .features import FeatureMatrix, SkipSchedule, budget, mifs_stack
 from .latent import LatentModel, sample_difference_matrix
 from .streams import stream
 
@@ -277,25 +277,20 @@ def coverage_experiment(
     """Monte-Carlo sandwich coverage for a fixed skip or a full schedule.
 
     ``skip`` is a single tau (fixed-skip route, optionally with an explicit
-    per-trial budget ``t_samples``) or a SkipSchedule (stacked route,
-    each trial the coefficient matrix of one ``mifs_stack`` of the
-    schedule). Trial i draws from the sub-stream (seed, i), so trials are
-    independent and may be evaluated in any order or in parallel.
+    per-trial budget ``t_samples``) or a SkipSchedule (stacked route).
+    Trial i draws from the sub-stream (seed, i): a fixed-skip trial is one
+    ``sample_difference_matrix``, a stacked trial is the p of
+    ``mifs_stack(model, skip, (seed, i), observe=False)``, the sampler
+    every stack comes from. Trials are independent of each other and of
+    their order.
     """
     if trials < 100:
         raise ValueError(f"trials must be >= 100, got {trials}")
     if isinstance(skip, SkipSchedule):
         bounds = theorem2_bounds(model.gammas, model.c, skip, delta)
-        levels = skip.included_levels
-        edges = np.cumsum([0] + [skip.budget(l) for l in levels])
 
         def draw(trial: int) -> np.ndarray:
-            # mifs_stack's columns: level l's budget from the stream (seed, trial, l)
-            p = np.empty((model.k, edges[-1]))
-            for level, start, stop in zip(levels, edges, edges[1:]):
-                rng = stream((seed, trial), level)
-                p[:, start:stop] = sample_difference_matrix(model, skip.tau(level), stop - start, rng)
-            return p
+            return mifs_stack(model, skip, (seed, trial), observe=False).p
 
     else:
         tau = float(skip)

@@ -28,7 +28,6 @@ from numpy.linalg import lapack_lite
 
 from .config import ExperimentConfig
 from .features import SeriesDescriptorSet
-from .streams import as_generator
 
 EM_MAX_ITERS = 100
 EM_TOL = 1e-6
@@ -252,7 +251,7 @@ def _seed_means(data: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarra
     return means
 
 
-def gmm_fit(data: np.ndarray, k_components: int, rng=0) -> GmmModel:
+def gmm_fit(data: np.ndarray, k_components: int, rng: np.random.Generator) -> GmmModel:
     """Diagonal-covariance EM with k-means++ seeding.
 
     The mean per-point log-likelihood is recorded at every E-step and is
@@ -262,7 +261,6 @@ def gmm_fit(data: np.ndarray, k_components: int, rng=0) -> GmmModel:
     times per component) before the fit is abandoned with ConvergenceError.
     """
     data = np.asarray(data, dtype=float)
-    rng = as_generator(rng)
     n, d = data.shape
     if n < 10 * k_components:
         raise ValueError(f"need at least {10 * k_components} points for K={k_components}, got {n}")
@@ -304,9 +302,8 @@ def gmm_fit(data: np.ndarray, k_components: int, rng=0) -> GmmModel:
     return gmm
 
 
-def gmm_sample(gmm: GmmModel, n: int, rng) -> np.ndarray:
+def gmm_sample(gmm: GmmModel, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw n points from the mixture."""
-    rng = as_generator(rng)
     comps = rng.choice(gmm.k, size=n, p=gmm.weights)
     noise = rng.standard_normal((n, gmm.means.shape[1]))
     return gmm.means[comps] + noise * np.sqrt(gmm.variances[comps])
@@ -382,7 +379,7 @@ def fit_codec(
     extract: Callable[[int], SeriesDescriptorSet],
     idx: Sequence[int],
     config: ExperimentConfig,
-    rng=0,
+    rng: np.random.Generator,
 ) -> tuple[FisherCodec, np.ndarray]:
     """Fit PCA on the pooled descriptors and a GMM on the reduced pool.
 
@@ -400,7 +397,6 @@ def fit_codec(
     Returns the codec and the augmented reduced pool: with r rows per set,
     rows k*r to (k+1)*r - 1 are ``augment(codec.pca, extract(idx[k]))``.
     """
-    rng = as_generator(rng)
     pool = None
     for k, i in enumerate(idx):
         ds = extract(i)

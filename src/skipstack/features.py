@@ -6,17 +6,19 @@ windowed frame-difference descriptor (real-series route). Stacking repeats
 the extraction at skips tau, 2*tau, ..., (L+1)*tau and concatenates, so the
 representation contains each action content at several effective speeds.
 Levels can be masked out to study reduced schedules, e.g. keeping only the
-every-2nd-frame features.
+every-2nd-frame features. On the synthetic route ``mifs_stack`` draws every
+stack, one level or several, for the theory verbs and the coverage harness.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
 from .latent import LatentModel, sample_difference_matrix
-from .streams import as_generator, stream
+from .streams import stream
 
 # guards float-division noise in floor(1/tau); 1/(0.1*2) is 4.999...
 FLOOR_EPS = 1e-9
@@ -85,22 +87,13 @@ class SkipSchedule:
 
 @dataclass
 class FeatureMatrix:
-    """Coefficient differences ``p`` (k x T) and, optionally, the observed
-    features ``f`` (d x T). A stack holds its levels' columns in schedule
-    order, each level's budget in turn."""
+    """Coefficient differences ``p`` (k x T), entries in {-2, 0, 2}, and,
+    optionally, the observed features ``f`` (d x T), as ``mifs_stack``
+    draws them. A stack holds its levels' columns in schedule order, each
+    level's budget in turn."""
 
     p: np.ndarray
     f: np.ndarray | None
-
-    def __post_init__(self) -> None:
-        self.p = np.asarray(self.p, dtype=float)
-        t = self.p.shape[1]
-        if np.abs(self.p).max(initial=0.0) > 2.0:
-            raise ValueError("coefficient differences must lie in [-2, 2]")
-        if self.f is not None:
-            self.f = np.asarray(self.f, dtype=float)
-            if self.f.shape[1] != t:
-                raise ValueError("f must have the same column count as p")
 
 
 @dataclass
@@ -123,61 +116,41 @@ class SeriesDescriptorSet:
             raise ValueError("locations must lie in [0, 1]")
 
 
-def build_feature_matrix(
-    model: LatentModel,
-    tau: float,
-    rng: np.random.Generator,
-    *,
-    observe: bool | None = None,
-) -> FeatureMatrix:
-    """Extract T = floor(1/tau) differential features at a single skip.
-
-    ``observe`` forces or suppresses the noisy d-dimensional feature matrix
-    f = xbar @ p + (eps' - eps); by default f is produced exactly when the
-    model carries noise (sigma > 0).
-    """
-    rng = as_generator(rng)
-    t = budget(tau)
-    if t < 1:
-        raise ValueError(f"sample budget T must be >= 1, got {t} (tau={tau})")
-    p = sample_difference_matrix(model, tau, t, rng)
-    if observe is None:
-        observe = model.sigma > 0
-    f = None
-    if observe:
-        f = model.xbar @ p
-        if model.sigma > 0:
-            eps = rng.normal(0.0, model.sigma, size=(model.d, t))
-            eps_tau = rng.normal(0.0, model.sigma, size=(model.d, t))
-            # a huge sigma overflows here; spectrum_curve rejects the result
-            with np.errstate(over="ignore", invalid="ignore"):
-                f = f + (eps_tau - eps)
-    return FeatureMatrix(p=p, f=f)
-
-
 def mifs_stack(
     model: LatentModel,
     schedule: SkipSchedule,
     seed,
     *,
-    observe: bool | None = None,
+    observe: bool = True,
 ) -> FeatureMatrix:
-    """Concatenate single-skip extractions over the schedule's levels.
+    """The synthetic route's one sampler: the stacked feature matrix of
+    (model, schedule, seed).
 
-    Each level draws from the sub-stream (seed, level), so the output for a
-    given level never depends on which other levels are present and levels
-    may be extracted concurrently.
+    Each included level fills its budget of columns, in schedule order,
+    from the sub-stream (seed, level): first its coefficient differences
+    (``sample_difference_matrix``), then, for f = xbar @ p + (eps' - eps),
+    the noise eps and then eps'. So a level's columns never depend on which
+    other levels are present. f is produced when the model carries noise
+    (sigma > 0), unless ``observe`` is False; p is the same either way.
     """
-    blocks = [
-        build_feature_matrix(model, schedule.tau(level), stream(seed, level), observe=observe)
-        for level in schedule.included_levels
-    ]
-    return FeatureMatrix(
-        p=np.concatenate([b.p for b in blocks], axis=1),
-        f=None
-        if blocks[0].f is None
-        else np.concatenate([b.f for b in blocks], axis=1),
-    )
+    # a list, not included_levels: each tuple(genexpr) leaves one more tuple
+    # on CPython's free list (up to 2,000), and the harness draws thousands
+    levels = [l for l, keep in enumerate(schedule.include) if keep]
+    edges = list(accumulate((schedule.budget(l) for l in levels), initial=0))
+    p = np.empty((model.k, edges[-1]))
+    f = np.empty((model.d, edges[-1])) if observe and model.sigma > 0 else None
+    for level, start, stop in zip(levels, edges, edges[1:]):
+        rng = stream(seed, level)
+        t = stop - start
+        block = sample_difference_matrix(model, schedule.tau(level), t, rng)
+        p[:, start:stop] = block
+        if f is not None:
+            eps = rng.normal(0.0, model.sigma, size=(model.d, t))
+            eps_tau = rng.normal(0.0, model.sigma, size=(model.d, t))
+            # a huge sigma overflows here; spectrum_curve rejects the result
+            with np.errstate(over="ignore", invalid="ignore"):
+                np.add(model.xbar @ block, eps_tau - eps, out=f[:, start:stop])
+    return FeatureMatrix(p=p, f=f)
 
 
 def extract_series_descriptors(

@@ -1,9 +1,13 @@
 """Deterministic RNG stream derivation.
 
-Every stochastic routine in this package draws from a numpy Generator that is
-either passed in directly or derived from an integer seed plus a structured
-key (level index, trial index, ...), so a result depends only on its own
-key, not on what else was drawn before it.
+Every stochastic routine in this package draws from a numpy Generator
+derived from an integer seed plus a structured key (level index, trial
+index, ...), so a result depends only on its own key, not on what else was
+drawn before it. One rule says which kind of argument a routine takes:
+a routine that derives sub-streams takes a seed key (``new_model``,
+``mifs_stack``, ``coverage_experiment``, ``bernstein_coverage_test``); a
+routine that draws in sequence takes a ``Generator`` and leaves it advanced
+(``sample_difference_matrix``, ``gmm_fit``, ``gmm_sample``, ``fit_codec``).
 
 Every key the package derives, with ``seed`` the config seed:
 
@@ -52,9 +56,3 @@ def stream(seed: int | tuple[int, ...], *key: int) -> np.random.Generator:
         raise ValueError("stream keys must be non-negative integers")
     return np.random.default_rng(np.random.SeedSequence(parts))
 
-
-def as_generator(rng: "int | tuple[int, ...] | np.random.Generator") -> np.random.Generator:
-    """Accept a ready Generator or anything `stream` accepts."""
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return stream(rng)

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from skipstack.classify import save_classifier, svm_train_many
-from skipstack.cli import COMMANDS, _build_parser, main
+from skipstack.cli import COMMANDS, _build_parser, _write_json, main
 from skipstack.conditioning import spectrum_curve, theorem1_bounds, theorem2_bounds
 from skipstack.config import config_hash, load_config, schedule_of
 from skipstack.dataset import load_dataset
@@ -674,3 +674,10 @@ class TestParser:
         )
         assert code == 2
         assert "cannot read" in capsys.readouterr().err
+
+
+class TestWriteJson:
+    def test_numpy_scalars_become_json(self, tmp_path):
+        payload = {"flag": np.bool_(True), "count": np.int64(3), "rate": np.float64(0.5), "inf": np.inf}
+        path = _write_json(tmp_path / "out.json", payload)
+        assert json.loads(path.read_text()) == {"flag": True, "count": 3, "rate": 0.5, "inf": "inf"}

@@ -397,6 +397,16 @@ class TestHarnessMemory:
         # eight doubles per trial; one 8 x 8 Gram per trial would be 64
         assert peak(3000) - peak(300) <= 8 * 8 * 2700
 
+    def test_stacked_coverage_peak_grows_by_scalars_per_trial(self):
+        gammas = np.geomspace(0.002, 0.02, 8)
+        model = new_model(k=8, d=8, gammas=gammas, c=0.1, sigma=0.0, seed=0)
+        schedule = SkipSchedule(base_tau=0.005, levels=3)
+
+        def peak(trials: int) -> int:
+            return _traced_peak(lambda: coverage_experiment(model, schedule, 0.1, trials, 1))
+
+        assert peak(3000) - peak(300) <= 8 * 8 * 2700
+
     def test_bernstein_peak_grows_by_scalars_per_trial(self):
         def peak(trials: int) -> int:
             return _traced_peak(lambda: bernstein_coverage_test(8, 16, 4.0, 0.1, trials, 2))

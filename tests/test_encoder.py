@@ -30,7 +30,7 @@ from skipstack.encoder import (
     save_codec,
 )
 from skipstack.features import SeriesDescriptorSet, SkipSchedule, extract_series_descriptors
-from skipstack.streams import as_generator, stream
+from skipstack.streams import stream
 
 
 CODEC_CONFIG = ExperimentConfig(seed=0, gmm_components=4, train_budget=500)
@@ -67,9 +67,8 @@ def _posteriors(gmm: GmmModel, data: np.ndarray) -> tuple[np.ndarray, float]:
     return stable / total, mean_ll
 
 
-def reference_gmm_fit(data: np.ndarray, k_components: int, rng=0) -> GmmModel:
+def reference_gmm_fit(data: np.ndarray, k_components: int, rng: np.random.Generator) -> GmmModel:
     data = np.asarray(data, dtype=float)
-    rng = as_generator(rng)
     n, d = data.shape
     if n < 10 * k_components:
         raise ValueError(f"need at least {10 * k_components} points for K={k_components}, got {n}")
@@ -372,7 +371,7 @@ class TestGmmFit:
 
     def test_requires_ten_points_per_component(self):
         with pytest.raises(ValueError, match="at least"):
-            gmm_fit(np.zeros((19, 2)), 2)
+            gmm_fit(np.zeros((19, 2)), 2, stream(0))
 
     def test_collapsed_component_is_reseeded(self, monkeypatch):
         data = np.random.default_rng(8).normal(size=(100, 2))

@@ -7,12 +7,11 @@ from skipstack import container
 from skipstack.features import (
     SkipSchedule,
     budget,
-    build_feature_matrix,
     extract_series_descriptors,
     level_cost_report,
     mifs_stack,
 )
-from skipstack.latent import new_model
+from skipstack.latent import new_model, sample_difference_matrix
 from skipstack.streams import stream
 
 
@@ -65,46 +64,43 @@ class TestSkipSchedule:
         assert s.budget(0) == 64
 
 
+def one_level(tau):
+    return SkipSchedule(base_tau=tau, levels=0)
+
+
 class TestBuildFeatureMatrix:
+    """Building one skip's feature matrix: ``mifs_stack`` of a one-level
+    schedule."""
+
     def test_tau_one_gives_single_column(self):
-        fm = build_feature_matrix(make_model(), tau=1.0, rng=stream(0))
+        fm = mifs_stack(make_model(), one_level(1.0), seed=0)
         assert fm.p.shape == (2, 1)
 
     def test_column_budget_and_entry_set(self):
         model = make_model(k=4, d=8, gammas=[1.0, 2.0, 4.0, 8.0])
-        fm = build_feature_matrix(model, tau=0.001, rng=stream(1))
+        fm = mifs_stack(model, one_level(0.001), seed=1)
         assert fm.p.shape == (4, 1000)
         assert set(np.unique(fm.p)).issubset({-2.0, 0.0, 2.0})
 
     def test_static_model_gives_zero_matrix(self):
         model = make_model(gammas=[1e9, 1e9])
-        fm = build_feature_matrix(model, tau=0.01, rng=stream(2))
+        fm = mifs_stack(model, one_level(0.01), seed=2)
         assert not fm.p.any()
-
-    def test_zero_noise_consistency(self):
-        model = make_model(sigma=0.0)
-        fm = build_feature_matrix(model, tau=0.05, rng=stream(3), observe=True)
-        np.testing.assert_allclose(fm.f, model.xbar @ fm.p, atol=1e-12)
 
     def test_noise_applied_when_sigma_positive(self):
         model = make_model(sigma=0.5)
-        fm = build_feature_matrix(model, tau=0.05, rng=stream(4))
+        fm = mifs_stack(model, one_level(0.05), seed=4)
         assert fm.f is not None
         resid = fm.f - model.xbar @ fm.p
         assert np.std(resid) == pytest.approx(0.5 * np.sqrt(2), rel=0.2)
-
-    def test_zero_budget_rejected(self):
-        with pytest.raises(ValueError, match="T must be >= 1"):
-            build_feature_matrix(make_model(), tau=1.5, rng=stream(6))
 
 
 class TestMifsStack:
     def test_degenerate_schedule_matches_single_build(self):
         model = make_model()
-        s = SkipSchedule(base_tau=1 / 50, levels=0)
-        stacked = mifs_stack(model, s, seed=7)
-        single = build_feature_matrix(model, 1 / 50, stream(7, 0))
-        assert np.array_equal(stacked.p, single.p)
+        stacked = mifs_stack(model, one_level(1 / 50), seed=7)
+        single = sample_difference_matrix(model, 1 / 50, 50, stream(7, 0))
+        assert np.array_equal(stacked.p, single)
 
     def test_stacked_column_count(self):
         s = SkipSchedule(base_tau=1 / 100, levels=2)
@@ -116,7 +112,7 @@ class TestMifsStack:
         s = SkipSchedule(base_tau=1 / 100, levels=1, include=(False, True))
         fm = mifs_stack(model, s, seed=9)
         assert fm.p.shape[1] == 50
-        assert np.array_equal(fm.p, build_feature_matrix(model, 2 / 100, stream(9, 1)).p)
+        assert np.array_equal(fm.p, sample_difference_matrix(model, 2 / 100, 50, stream(9, 1)))
 
     def test_levels_independent_of_mask(self):
         """A level's columns do not change when other levels are masked."""
@@ -134,12 +130,50 @@ class TestMifsStack:
         model = make_model()
         s = SkipSchedule(base_tau=1 / 40, levels=2)
         stacked = mifs_stack(model, s, seed=11)
+        assert stacked.f is None
         start = 0
         for level in range(3):
-            part = build_feature_matrix(model, s.tau(level), stream(11, level))
-            assert np.array_equal(stacked.p[:, start : start + s.budget(level)], part.p)
+            part = sample_difference_matrix(model, s.tau(level), s.budget(level), stream(11, level))
+            assert np.array_equal(stacked.p[:, start : start + s.budget(level)], part)
             start += s.budget(level)
         assert start == stacked.p.shape[1]
+
+    @pytest.mark.parametrize("include", [(), (False, True, True), (True, False, True)])
+    def test_observed_levels_follow_the_stream_contract(self, include):
+        """Level l's columns of p and f, bit for bit, from the stream
+        (seed, l): the differences, then eps, then eps'."""
+        model = make_model(sigma=0.3)
+        s = SkipSchedule(base_tau=1 / 40, levels=2, include=include)
+        stacked = mifs_stack(model, s, seed=(12, 3))
+        start = 0
+        for level in s.included_levels:
+            t, rng = s.budget(level), stream((12, 3), level)
+            p = sample_difference_matrix(model, s.tau(level), t, rng)
+            eps = rng.normal(0.0, model.sigma, size=(model.d, t))
+            eps_tau = rng.normal(0.0, model.sigma, size=(model.d, t))
+            f = model.xbar @ p + (eps_tau - eps)
+            assert stacked.p[:, start : start + t].tobytes() == p.tobytes()
+            assert stacked.f[:, start : start + t].tobytes() == np.ascontiguousarray(f).tobytes()
+            start += t
+        assert start == stacked.p.shape[1] == stacked.f.shape[1]
+
+    def test_unobserved_p_equals_observed_p(self):
+        """The coverage harness's stacked trials (observe=False) read the
+        same p as the observed stack."""
+        model = make_model(sigma=0.2)
+        s = SkipSchedule(base_tau=1 / 50, levels=3, include=(True, False, True, True))
+        observed = mifs_stack(model, s, seed=13)
+        bare = mifs_stack(model, s, seed=13, observe=False)
+        assert bare.f is None and observed.f is not None
+        assert bare.p.tobytes() == observed.p.tobytes()
+
+    def test_noise_statistics(self):
+        model = make_model(k=3, d=6, gammas=[0.01, 0.02, 0.04], sigma=0.25)
+        fm = mifs_stack(model, SkipSchedule(base_tau=1 / 2000, levels=2), seed=14)
+        assert set(np.unique(fm.p)).issubset({-2.0, 0.0, 2.0})
+        resid = fm.f - model.xbar @ fm.p
+        assert np.std(resid) == pytest.approx(0.25 * np.sqrt(2), rel=0.02)
+        assert abs(np.mean(resid)) < 0.01
 
 
 class TestSeriesDescriptors:

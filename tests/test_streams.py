@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from skipstack.streams import as_generator, stream
+from skipstack.streams import stream
 
 
 def draws(rng: np.random.Generator) -> np.ndarray:
@@ -34,8 +34,3 @@ def test_negative_key_rejected():
     with pytest.raises(ValueError, match="non-negative"):
         stream(0, -1)
 
-
-def test_as_generator_passes_a_generator_through():
-    rng = np.random.default_rng(5)
-    assert as_generator(rng) is rng
-    assert np.array_equal(draws(as_generator((3, 1))), draws(stream(3, 1)))
