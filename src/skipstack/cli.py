@@ -5,8 +5,8 @@ outputs under the config's output directory and finishes with a manifest
 recording the config hash and a checksum per output file, so identical
 config + seed reruns are byte-identical end to end.
 
-Exit codes: 0 success, 2 config or validation error, 3 numerical
-failure, 4 I/O error.
+Exit codes: 0 success, 2 config or validation error or out of memory,
+3 numerical failure, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -401,9 +401,9 @@ def main(argv=None) -> int:
         out.mkdir(parents=True, exist_ok=True)
         outputs = args.handler(config, out, args)
         _write_manifest(out, args.command, config, outputs)
-    except (ConvergenceError, ValueError, OSError) as exc:
+    except (ConvergenceError, ValueError, MemoryError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3 if isinstance(exc, ConvergenceError) else 2 if isinstance(exc, ValueError) else 4
+        return 3 if isinstance(exc, ConvergenceError) else 4 if isinstance(exc, OSError) else 2
     for path in outputs:
         print(f"wrote {path}")
     return 0

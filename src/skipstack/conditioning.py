@@ -217,23 +217,16 @@ class SpectrumCurve:
 
     sigmas: np.ndarray
 
-    def __post_init__(self) -> None:
-        self.sigmas = np.asarray(self.sigmas, dtype=float)
-        if self.sigmas.size < 1 or self.sigmas[0] != 1.0:
-            raise ValueError("normalized spectrum must start at exactly 1")
-        if np.any(np.diff(self.sigmas) > 1e-12):
-            raise ValueError("normalized spectrum must be non-increasing")
-        if np.any(self.sigmas < 0) or np.any(self.sigmas > 1.0):
-            raise ValueError("normalized spectrum must lie in [0, 1]")
-
 
 def spectrum_curve(source) -> SpectrumCurve:
     """Top-10 normalized singular values of a feature matrix.
 
     Accepts a bare matrix (features as columns) or a FeatureMatrix (the
     observed matrix f when present, else p). Needs >= 10 feature columns;
-    an all-zero or non-finite matrix has no spectrum and is rejected.
-    Shorter curves come out when the matrix has fewer than 10 rows.
+    a matrix whose Gram matrix is all zero or not finite, in its entries
+    or its largest eigenvalue, has no spectrum and is rejected. Any other
+    gives a curve that starts at exactly 1, never increases and lies in
+    [0, 1]. Shorter curves come out when the matrix has fewer than 10 rows.
     """
     if isinstance(source, FeatureMatrix):
         matrix = source.f if source.f is not None else source.p
@@ -244,14 +237,15 @@ def spectrum_curve(source) -> SpectrumCurve:
     rows, cols = matrix.shape
     if cols < 10:
         raise ValueError(f"need at least 10 feature columns, got {cols}")
-    if not np.isfinite(matrix).all():
-        raise ValueError("matrix has non-finite entries (NaN or inf), so no spectrum")
-    if not matrix.any():
-        raise ValueError("all-zero matrix has no spectrum")
     # eigen-decompose the smaller Gram matrix; its eigenvalues are the
     # squared singular values
-    gram = matrix @ matrix.T if rows <= cols else matrix.T @ matrix
-    eigs = np.linalg.eigvalsh(gram)[::-1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = matrix @ matrix.T if rows <= cols else matrix.T @ matrix
+    # eigvalsh returns garbage for a NaN Gram, and the largest eigenvalue of
+    # a finite one can still overflow
+    eigs = np.linalg.eigvalsh(gram)[::-1] if np.isfinite(gram).all() else (math.nan,)
+    if not 0.0 < eigs[0] < math.inf:
+        raise ValueError("Gram matrix has non-finite entries or eigenvalues, or is all-zero, so no spectrum")
     keep = min(10, eigs.size)
     sigmas = np.sqrt(np.clip(eigs[:keep], 0.0, None))
     return SpectrumCurve(sigmas=sigmas / sigmas[0])

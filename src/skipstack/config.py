@@ -82,6 +82,7 @@ class ExperimentConfig:
         speed = max(self.speeds, default=0)
         checks = (
             (self.seed >= 0, f"seed must be >= 0, got {self.seed}"),
+            (self.k >= 1, f"k must be >= 1, got {self.k}"),
             (self.base_tau > 0, f"base_tau must be > 0, got {self.base_tau}"),
             (0 <= self.levels <= 5, f"levels must lie in [0, 5], got {self.levels}"),
             (

@@ -75,16 +75,8 @@ class SyntheticActionDataset:
     template_coeffs: np.ndarray
 
     def __post_init__(self) -> None:
-        n = self.series.shape[0]
-        if self.series.ndim != 3:
-            raise ValueError("series must be (n, frames, channels)")
         if not np.isfinite(self.series).all():
             raise ValueError("series must be finite")
-        if self.labels.shape != (n,) or self.speeds.shape != (n,):
-            raise ValueError("labels and speeds must have one entry per sample")
-        merged = np.concatenate([self.train_idx, self.test_idx])
-        if not np.array_equal(np.sort(merged), np.arange(n)):
-            raise ValueError("train/test split must partition the samples")
         for side, idx in (("train", self.train_idx), ("test", self.test_idx)):
             cells = set(zip(self.labels[idx].tolist(), self.speeds[idx].tolist()))
             expected = {

@@ -105,16 +105,6 @@ class SeriesDescriptorSet:
     locations: np.ndarray
     level_of_row: np.ndarray
 
-    def __post_init__(self) -> None:
-        self.descriptors = np.asarray(self.descriptors, dtype=float)
-        self.locations = np.asarray(self.locations, dtype=float)
-        self.level_of_row = np.asarray(self.level_of_row, dtype=int)
-        n = self.descriptors.shape[0]
-        if self.locations.shape != (n,) or self.level_of_row.shape != (n,):
-            raise ValueError("per-row tags must match the descriptor count")
-        if n and (self.locations.min() < 0.0 or self.locations.max() > 1.0):
-            raise ValueError("locations must lie in [0, 1]")
-
 
 def mifs_stack(
     model: LatentModel,
@@ -184,11 +174,6 @@ def extract_series_descriptors(
         sub = series[:: level + 1]
         diffs = np.diff(sub, axis=0)
         n_windows = diffs.shape[0] - window + 1
-        if n_windows < 1:
-            raise ValueError(
-                f"series too short for level {level}: {diffs.shape[0]} differences "
-                f"< window {window}"
-            )
         idx = np.arange(n_windows)[:, None] + np.arange(window)[None, :]
         desc_blocks.append(diffs[idx].reshape(n_windows, window * channels))
         loc_blocks.append((np.arange(n_windows) + window / 2.0) / diffs.shape[0])

@@ -26,8 +26,6 @@ import numpy as np
 
 from .streams import stream
 
-MAX_COLUMN_COHERENCE = 0.99
-
 
 @dataclass
 class LatentModel:
@@ -48,7 +46,6 @@ class LatentModel:
 
     def __post_init__(self) -> None:
         self.gammas = np.asarray(self.gammas, dtype=float)
-        self.xbar = np.asarray(self.xbar, dtype=float)
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
         if self.d < self.k:
@@ -63,17 +60,6 @@ class LatentModel:
             raise ValueError(f"c must lie in [0, 1), got {self.c}")
         if self.sigma < 0:
             raise ValueError(f"sigma must be >= 0, got {self.sigma}")
-        if self.seed < 0:
-            raise ValueError("seed must be a non-negative integer")
-        if self.xbar.shape != (self.d, self.k):
-            raise ValueError(f"xbar must be d x k = {(self.d, self.k)}, got {self.xbar.shape}")
-        norms = np.linalg.norm(self.xbar, axis=0)
-        if not np.allclose(norms, 1.0, atol=1e-8):
-            raise ValueError("columns of xbar must have unit norm")
-        gram = np.abs(self.xbar.T @ self.xbar)
-        np.fill_diagonal(gram, 0.0)
-        if np.any(gram >= MAX_COLUMN_COHERENCE):
-            raise ValueError("columns of xbar are not well separated")
 
 
 def new_model(k: int, d: int, gammas, c: float, sigma: float, seed: int) -> LatentModel:

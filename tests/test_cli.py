@@ -206,6 +206,16 @@ class TestSimulationVerbs:
             # the noise overflows to inf and NaN; LAPACK's eigensolver used to
             # fail on it with "Eigenvalues did not converge"
             ("spectrum", dict(sigma=1e308), "matrix has non-finite entries"),
+            # the Gram overflows; LAPACK failed on it after a matmul warning
+            ("spectrum", dict(gammas=[0.00125, 0.00125, 0.005, 0.005], base_tau=0.0025, levels=3, sigma=1e160),
+             "matrix has non-finite entries"),
+            # the Gram underflows to zero; the curve came out NaN after a divide warning
+            ("spectrum", dict(gammas=None, levels=None, sigma=1e-170), "or is all-zero"),
+            # bernstein-check reads k without building a model; k 0 divided by zero
+            ("bernstein-check", dict(k=0), "k must be >= 1"),
+            # 8 EB for the per-trial values: beyond any address space
+            ("sim-condition", dict(trials=10**18), "Unable to allocate"),
+            ("bernstein-check", dict(trials=10**18), "Unable to allocate"),
         ],
     )
     def test_bad_theory_input_exit_2(self, tmp_path, capsys, verb, overrides, message):

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -231,6 +232,34 @@ class TestSpectrumCurve:
         curve = spectrum_curve(fm)
         assert curve.sigmas.size == min(10, model.d)
         assert np.array_equal(curve.sigmas, spectrum_curve(fm.f).sigmas)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        rows=st.integers(1, 12),
+        cols=st.integers(10, 30),
+        exponent=st.integers(-170, 160),
+        seed=st.integers(0, 2**32),
+    )
+    def test_any_finite_matrix_gives_a_curve_or_a_named_error(self, rows, cols, exponent, seed):
+        """Over random finite matrices of any scale, the curve starts at
+        exactly 1, never increases and lies in [0, 1], or the Gram matrix
+        is rejected by name; no warning either way."""
+        matrix = np.random.default_rng(seed).normal(size=(rows, cols)) * 10.0**exponent
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                sigmas = spectrum_curve(matrix).sigmas
+            except ValueError as exc:
+                assert "Gram matrix has non-finite entries or eigenvalues" in str(exc)
+                return
+        assert sigmas[0] == 1.0
+        assert np.all(np.diff(sigmas) <= 0.0)
+        assert np.all((0.0 <= sigmas) & (sigmas <= 1.0))
+
+    def test_overflowing_top_eigenvalue_rejected(self):
+        # each Gram entry is 10 x 2.25e306, finite; the top eigenvalue, 8 times that, is not
+        with pytest.raises(ValueError, match="non-finite entries or eigenvalues"):
+            spectrum_curve(np.full((8, 10), 1.5e153))
 
     def test_all_zero_rejected(self):
         with pytest.raises(ValueError, match="all-zero"):

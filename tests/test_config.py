@@ -83,6 +83,7 @@ class TestValidation:
             (dict(levels=1, exclude=(0, 0)), "exclude"),
             (dict(levels=1, exclude=(0, 1)), "keep at least one level"),
             (dict(base_tau=0.0), "base_tau must be > 0"),
+            (dict(k=0), "k must be >= 1"),
         ],
     )
     def test_bad_values(self, fields, message):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import skipstack.dataset
+from skipstack.cli import main
 from skipstack.config import ExperimentConfig
 from skipstack.dataset import (
     MAX_TEMPLATE_CORRELATION,
@@ -161,17 +162,20 @@ class TestDatasetInvariants:
                 template_coeffs=ds.template_coeffs,
             )
 
-    def test_overlapping_split_rejected(self):
-        ds = generate_dataset(small_config())
-        with pytest.raises(ValueError, match="partition"):
-            SyntheticActionDataset(
-                series=ds.series,
-                labels=ds.labels,
-                speeds=ds.speeds,
-                train_idx=ds.train_idx,
-                test_idx=np.concatenate([ds.test_idx, ds.train_idx[:1]]),
-                template_coeffs=ds.template_coeffs,
-            )
+    def test_overlapping_split_rejected(self, tmp_path):
+        """The record trusts its builders; a split read from a file is checked
+        by the reader, which rejects a test index that repeats a training
+        index, so ``encode --data`` exits 2."""
+        path = tmp_path / "dataset.bin"
+        save_dataset(path, generate_dataset(small_config()))
+        line, payload = path.read_bytes().split(b"\n", 1)
+        header = json.loads(line)
+        header["test_idx"].append(header["train_idx"][0])
+        path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+        with pytest.raises(ValueError, match="each index once"):
+            load_dataset(path)
+        argv = ["encode", "--data", str(path), "--seed", "0", "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
 
 
 class TestPersistence:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skipstack import container
 from skipstack.features import (
@@ -224,6 +226,26 @@ class TestSeriesDescriptors:
         )
         assert np.array_equal(deep.descriptors, flat.descriptors)
         assert np.array_equal(deep.locations, flat.locations)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(), levels=st.integers(0, 5), window=st.integers(1, 12), channels=st.integers(1, 3))
+    def test_every_included_level_yields_windows(self, data, levels, window, channels):
+        """Any series the frame check admits gives each included level
+        ceil(frames / (l+1)) - window >= 1 windows, one tag per row and
+        locations strictly inside (0, 1), at the dtypes the encoder reads."""
+        include = data.draw(st.lists(st.booleans(), min_size=levels + 1, max_size=levels + 1).filter(any))
+        frames = (levels + 1) * window + 1 + data.draw(st.integers(0, 40))
+        series = np.random.default_rng(frames).normal(size=(frames, channels))
+        schedule = SkipSchedule(1.0 / frames, levels, include=tuple(include))
+        ds = extract_series_descriptors(series, schedule, window)
+        counts = [int(np.sum(ds.level_of_row == l)) for l in range(levels + 1)]
+        assert counts == [-(-frames // (l + 1)) - window if keep else 0 for l, keep in enumerate(include)]
+        assert min(counts[l] for l in schedule.included_levels) >= 1
+        assert ds.descriptors.shape == (sum(counts), window * channels)
+        assert ds.locations.shape == ds.level_of_row.shape == (sum(counts),)
+        assert np.all((0.0 < ds.locations) & (ds.locations < 1.0))
+        assert ds.descriptors.dtype == ds.locations.dtype == np.float64
+        assert ds.level_of_row.dtype == np.int64
 
     def test_short_series_rejected(self):
         with pytest.raises(ValueError, match="shorter than one window"):

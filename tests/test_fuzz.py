@@ -100,7 +100,13 @@ def test_mistyped_config_exits_2(config, verb):
 
 
 @FUZZ
-@given(config=ranged_configs(), verb=st.sampled_from(["model-gen", "cost-report", "sim-bounds", "dataset-gen"]))
+@given(
+    config=ranged_configs(),
+    verb=st.sampled_from(
+        ["model-gen", "cost-report", "sim-bounds", "sim-condition", "bernstein-check", "spectrum", "dataset-gen"]
+    ),
+)
+@example(config={**TINY, "trials": 100, "k": 0}, verb="bernstein-check")  # TINY's 20 trials stop before k
 @example(config={**TINY, "gammas": []}, verb="sim-bounds")
 @example(config={**TINY, "gammas": [-10] * 4, "base_tau": 1e-4}, verb="sim-bounds")
 @example(config={**TINY, "base_tau": 5e-324}, verb="cost-report")

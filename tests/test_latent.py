@@ -11,7 +11,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from skipstack.latent import (
@@ -30,10 +30,15 @@ class TestModelConstruction:
         assert model.xbar.shape == (1, 1)
         assert abs(abs(model.xbar[0, 0]) - 1.0) < 1e-12
 
-    def test_directions_are_orthonormal(self):
-        model = new_model(k=2, d=4, gammas=[0.5, 4.0], c=0.2, sigma=0.01, seed=42)
-        gram = model.xbar.T @ model.xbar
-        np.testing.assert_allclose(gram, np.eye(2), atol=1e-10)
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(k=st.integers(1, 8), extra=st.integers(0, 8), seed=st.integers(0, 2**32))
+    @example(k=2, extra=2, seed=42)
+    def test_directions_are_orthonormal(self, k, extra, seed):
+        """new_model is the only constructor, and its sign-fixed QR alone
+        makes xbar a d x k matrix with orthonormal columns."""
+        model = new_model(k=k, d=k + extra, gammas=[1.0] * k, c=0.2, sigma=0.01, seed=seed)
+        assert model.xbar.shape == (k + extra, k)
+        np.testing.assert_allclose(model.xbar.T @ model.xbar, np.eye(k), atol=1e-10)
 
     def test_same_seed_same_directions(self):
         a = new_model(k=3, d=8, gammas=[1.0, 2.0, 3.0], c=0.1, sigma=0.0, seed=5)
