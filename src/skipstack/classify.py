@@ -231,8 +231,6 @@ def svm_train_many(
         raise ValueError("feature matrices of one call must share one shape")
     if len(seeds) != len(xs):
         raise ValueError(f"{len(xs)} feature matrices but {len(seeds)} seeds")
-    if c <= 0:
-        raise ValueError(f"C must be positive, got {c}")
     labels = np.asarray(labels)
     classes = np.unique(labels)
     if classes.size < 2:

@@ -112,8 +112,6 @@ def _bounds(gamma1, gammak, k: int, c: float, taus, budgets, delta: float) -> Bo
 
     Both theorems end here: one skip is Theorem 1, several are Theorem 2.
     """
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
     budgets = np.asarray(budgets, dtype=float)
     # overflow is harmless: an infinite T is rejected, exp(-inf) = 0 the limit
     with np.errstate(over="ignore"):
@@ -135,8 +133,6 @@ def theorem1_bounds(
     gamma1: float, gammak: float, c: float, tau: float, k: int, t: int, delta: float
 ) -> BoundReport:
     """Probabilistic sandwich for beta at a fixed skip, confidence 1 - delta."""
-    if gamma1 > gammak:
-        raise ValueError("gamma1 must not exceed gammak")
     return _bounds(gamma1, gammak, k, c, [tau], [t], delta)
 
 
@@ -166,8 +162,6 @@ def theorem2_bounds(gammas, c: float, schedule: SkipSchedule, delta: float) -> B
     A one-level schedule reproduces theorem1_bounds bit for bit.
     """
     gammas = np.asarray(gammas, dtype=float)
-    if np.any(np.diff(gammas) < 0):
-        raise ValueError("gammas must be sorted non-decreasing")
     taus = [schedule.tau(l) for l in schedule.included_levels]
     budgets = [schedule.budget(l) for l in schedule.included_levels]
     return _bounds(gammas[0], gammas[-1], gammas.size, c, taus, budgets, delta)
@@ -179,10 +173,6 @@ def bernstein_bound(b: float, norm_es: float, p_dim: int, delta: float) -> float
     ``b`` bounds each summand's norm and ``norm_es`` is the norm of the
     expected sum, so the sum length enters only through ``norm_es``.
     """
-    if b <= 0 or norm_es < 0 or p_dim < 1:
-        raise ValueError("b must be positive, norm_es non-negative, p_dim >= 1")
-    if not 0.0 < delta <= 2.0 * p_dim:
-        raise ValueError(f"delta must lie in (0, 2*p_dim], got {delta}")
     log_term = math.log(2.0 * p_dim / delta)
     return math.sqrt(2.0 * b * norm_es * log_term) + (b / 3.0) * log_term
 

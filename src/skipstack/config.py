@@ -1,9 +1,10 @@
 """Experiment configuration: one flat record driving every CLI verb.
 
 A config comes from a JSON file plus flag overrides (flags win) and is
-validated once, when it is built; every layer reads this one record. Its
-canonical SHA-256 goes into every run manifest so outputs are traceable
-to the exact settings that produced them.
+validated once, when it is built, the latent model's and the skip
+schedule's facts included; every layer reads this one record and trusts
+them. Its canonical SHA-256 goes into every run manifest so outputs are
+traceable to the exact settings that produced them.
 """
 
 from __future__ import annotations
@@ -80,9 +81,17 @@ class ExperimentConfig:
         for name in ("gammas", "speeds", "exclude"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
         speed = max(self.speeds, default=0)
+        # one window of differences at the deepest level
+        min_frames = (self.levels + 1) * self.window + 1
         checks = (
             (self.seed >= 0, f"seed must be >= 0, got {self.seed}"),
             (self.k >= 1, f"k must be >= 1, got {self.k}"),
+            (self.d >= self.k, f"d must be >= k, got d={self.d}, k={self.k}"),
+            (len(self.gammas) == self.k, f"gammas must have length k={self.k}, got {len(self.gammas)}"),
+            (all(g > 0 for g in self.gammas), "gammas must be positive"),
+            (self.gammas == tuple(sorted(self.gammas)), "gammas must be sorted non-decreasing"),
+            (0.0 <= self.c < 1.0, f"c must lie in [0, 1), got {self.c}"),
+            (self.sigma >= 0, f"sigma must be >= 0, got {self.sigma}"),
             (self.base_tau > 0, f"base_tau must be > 0, got {self.base_tau}"),
             (0 <= self.levels <= 5, f"levels must lie in [0, 5], got {self.levels}"),
             (
@@ -90,7 +99,6 @@ class ExperimentConfig:
                 f"exclude entries must lie in [0, levels={self.levels}], got {list(self.exclude)}",
             ),
             (len(set(self.exclude)) == len(self.exclude), "exclude entries must not repeat"),
-            (len(set(self.exclude)) <= self.levels, "exclude must keep at least one level"),
             (self.window >= 1, f"window must be >= 1, got {self.window}"),
             (self.pca_components >= 0, f"pca_components must be >= 0, got {self.pca_components}"),
             (self.gmm_components >= 1, f"gmm_components must be >= 1, got {self.gmm_components}"),
@@ -110,6 +118,7 @@ class ExperimentConfig:
             # the fastest replay must stay below Nyquist, else compression
             # aliases; this also keeps frames >= 3, so 1/frames is a valid skip
             (2 * self.harmonics * speed < self.frames, f"{self.harmonics} harmonics at speed {speed} alias"),
+            (self.frames >= min_frames, f"frames must be >= {min_frames}, got {self.frames}"),
             (0.0 <= self.jitter < 1.0, f"jitter must lie in [0, 1), got {self.jitter}"),
             (self.noise_sigma >= 0.0, f"noise_sigma must be >= 0, got {self.noise_sigma}"),
             (0.0 < self.train_fraction < 1.0, f"train_fraction must lie in (0, 1), got {self.train_fraction}"),
@@ -117,6 +126,9 @@ class ExperimentConfig:
         for ok, message in checks:
             if not ok:
                 raise ValueError(message)
+        # the schedule checks its skips (the deepest within 1, one level kept);
+        # level 0 has the largest budget, so every level's budget is finite
+        schedule_of(self).budget(0)
 
 
 def schedule_of(config: ExperimentConfig, frames: int | None = None) -> SkipSchedule:

@@ -51,11 +51,11 @@ class SkipSchedule:
             raise ValueError(f"base_tau must be positive, got {self.base_tau}")
         if self.levels < 0:
             raise ValueError(f"levels must be >= 0, got {self.levels}")
-        if (self.levels + 1) * self.base_tau > 1.0 + FLOOR_EPS:
-            raise ValueError(
-                f"deepest skip (L+1)*base_tau = {(self.levels + 1) * self.base_tau:.6g} "
-                f"exceeds the normalized duration 1"
-            )
+        # a float, so a huge integer base_tau gives inf, not an unprintable int
+        deepest = (self.levels + 1) * float(self.base_tau)
+        # the second test is budget's own, so every level keeps at least one sample
+        if deepest > 1.0 + FLOOR_EPS or 1.0 / deepest + FLOOR_EPS < 1.0:
+            raise ValueError(f"deepest skip (L+1)*base_tau = {deepest:.10g} exceeds the normalized duration 1")
         if not self.include:
             object.__setattr__(self, "include", (True,) * (self.levels + 1))
         if len(self.include) != self.levels + 1:
@@ -160,10 +160,6 @@ def extract_series_descriptors(
     if series.ndim == 1:
         series = series[:, None]
     frames, channels = series.shape
-    if channels < 1:
-        raise ValueError("series must have at least one channel")
-    if window < 1:
-        raise ValueError(f"window must be >= 1, got {window}")
     if frames < (schedule.levels + 1) * window + 1:
         raise ValueError(
             f"series of {frames} frames is shorter than one window at the "

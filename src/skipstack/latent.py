@@ -31,9 +31,10 @@ from .streams import stream
 class LatentModel:
     """Mixture of ``k`` latent directions in ``d`` dimensions.
 
-    ``gammas`` must be sorted non-decreasing (slowest component last), ``c``
-    is the slack of the dynamics band, ``sigma`` the additive noise level.
-    ``xbar`` holds the latent directions as orthonormal columns (d x k).
+    ``gammas`` are positive and sorted non-decreasing (slowest component
+    last), ``c`` in [0, 1) is the slack of the dynamics band, ``sigma`` the
+    additive noise level. ``xbar`` holds the latent directions as
+    orthonormal columns (d x k). ``ExperimentConfig`` checks these facts.
     """
 
     k: int
@@ -43,23 +44,6 @@ class LatentModel:
     sigma: float
     seed: int
     xbar: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.gammas = np.asarray(self.gammas, dtype=float)
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
-        if self.d < self.k:
-            raise ValueError(f"d must be >= k, got d={self.d}, k={self.k}")
-        if self.gammas.shape != (self.k,):
-            raise ValueError(f"gammas must have length k={self.k}, got {self.gammas.shape}")
-        if np.any(self.gammas <= 0):
-            raise ValueError("gammas must be positive")
-        if np.any(np.diff(self.gammas) < 0):
-            raise ValueError("gammas must be sorted non-decreasing")
-        if not 0.0 <= self.c < 1.0:
-            raise ValueError(f"c must lie in [0, 1), got {self.c}")
-        if self.sigma < 0:
-            raise ValueError(f"sigma must be >= 0, got {self.sigma}")
 
 
 def new_model(k: int, d: int, gammas, c: float, sigma: float, seed: int) -> LatentModel:
@@ -78,10 +62,6 @@ def flip_band(gamma: float, tau: float, c: float) -> tuple[float, float]:
     Raises when the upper endpoint would exceed 1/2, i.e. when the component
     is too fast for this skip to keep the correlation band meaningful.
     """
-    if not 0.0 < tau <= 1.0:
-        raise ValueError(f"tau must lie in (0, 1], got {tau}")
-    if gamma <= 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
     decay = np.exp(-gamma / tau)
     lo = 0.5 * decay
     hi = 0.5 * (1.0 + c) * decay
@@ -117,8 +97,6 @@ def sample_difference_matrix(
     probabilities q = lo + (hi - lo) v are what ``rng.uniform(lo, hi, n)``
     returns, and column j flips when u[j] < q[j].
     """
-    if n_cols < 1:
-        raise ValueError(f"n_cols must be >= 1, got {n_cols}")
     lo, width = _bands(tuple(model.gammas), tau, model.c)
     p = np.empty((model.k, n_cols))
     # rows whose uniforms are held at once: all k at harness sizes, one at 10^6 columns

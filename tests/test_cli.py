@@ -456,6 +456,17 @@ class TestTrainVerb:
         assert not out.exists()
 
 
+# each latent-model fact with its message; the config checks them at load
+MODEL_FACTS = [
+    (dict(d=3), "d must be >= k, got d=3, k=4"),
+    (dict(gammas=[0.005, 0.01]), "gammas must have length k=4, got 2"),
+    (dict(gammas=[0.0, 0.01, 0.04, 0.08]), "gammas must be positive"),
+    (dict(gammas=[0.01, 0.005, 0.04, 0.08]), "gammas must be sorted non-decreasing"),
+    (dict(c=1.5), "c must lie in [0, 1), got 1.5"),
+    (dict(sigma=-1.0), "sigma must be >= 0, got -1.0"),
+]
+
+
 class TestConfigErrors:
     @pytest.mark.parametrize(
         "verb, overrides, message",
@@ -467,6 +478,15 @@ class TestConfigErrors:
             ("run-recognition", dict(window=0), "window"),
             ("train", dict(svm_c=-1.0), "svm_c"),
             ("sim-bounds", dict(base_tau=0), "base_tau must be > 0"),
+        ]
+        + [
+            (verb, overrides, message)
+            for verb in ("dataset-gen", "cost-report", "bernstein-check", "run-recognition")
+            for overrides, message in MODEL_FACTS
+        ]
+        + [
+            ("model-gen", dict(base_tau=0.3, levels=3), "exceeds the normalized duration"),
+            ("model-gen", dict(frames=20, levels=3, speeds=[1], harmonics=1), "frames must be >= 25"),
         ],
     )
     def test_bad_field_exit_2_before_any_work(self, tmp_path, capsys, verb, overrides, message):

@@ -96,10 +96,6 @@ class TestTheorem1Bounds:
         assert more_signals > base
         assert tighter > base
 
-    def test_bad_confidence_rejected(self):
-        with pytest.raises(ValueError, match="delta"):
-            theorem1_bounds(1.0, 2.0, 0.0, 0.5, 2, 1000, 0.0)
-
 
 class TestCorollary1:
     def test_zero_exponent(self):

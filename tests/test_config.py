@@ -8,9 +8,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from skipstack.config import ExperimentConfig, config_hash, load_config, schedule_of
 from skipstack.dataset import generate_dataset
+from skipstack.latent import new_model
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -56,7 +59,7 @@ class TestLoad:
             load_config(path)
 
     def test_json_lists_become_tuples(self, tmp_path):
-        config = load_config(write_config(tmp_path, seed=0, gammas=[0.1, 0.2], speeds=[1, 3]))
+        config = load_config(write_config(tmp_path, seed=0, k=2, gammas=[0.1, 0.2], speeds=[1, 3]))
         assert config.gammas == (0.1, 0.2)
         assert config.speeds == (1, 3)
 
@@ -84,6 +87,21 @@ class TestValidation:
             (dict(levels=1, exclude=(0, 1)), "keep at least one level"),
             (dict(base_tau=0.0), "base_tau must be > 0"),
             (dict(k=0), "k must be >= 1"),
+            (dict(gammas=(2.0, 1.0, 8.0, 8.0)), "non-decreasing"),
+            (dict(c=-0.1), "c must"),
+            (dict(c=1.0), "c must"),
+            (dict(c=1.5), "c must"),
+            (dict(d=3), "d must"),
+            (dict(gammas=(0.0, 1.0, 8.0, 8.0)), "positive"),
+            (dict(sigma=-1.0), "sigma must be >= 0"),
+            (dict(gammas=(1.0, 8.0)), "gammas must have length k=4, got 2"),
+            (dict(base_tau=0.3, levels=3), "exceeds the normalized duration"),
+            # within 1 + FLOOR_EPS, yet floor(1/tau) is 0: no sample at all
+            (dict(base_tau=1.000000001, levels=0), "exceeds the normalized duration"),
+            # an integer (L+1)*base_tau too large for a float
+            (dict(base_tau=10**308, levels=1), "exceeds the normalized duration"),
+            (dict(base_tau=5e-324), "no finite sample budget"),
+            (dict(frames=20, speeds=(1,), harmonics=1), "frames must be >= 25"),
         ],
     )
     def test_bad_values(self, fields, message):
@@ -120,6 +138,46 @@ class TestValidation:
     def test_explicit_base_tau_wins(self):
         config = ExperimentConfig(seed=0, base_tau=0.02, frames=50)
         assert schedule_of(config).base_tau == 0.02
+
+
+@st.composite
+def model_fields(draw):
+    """Latent-model and skip fields: all in range, except that one of them
+    may be drawn from a wider range (often invalid) instead."""
+    k = draw(st.integers(1, 8))
+    levels = draw(st.integers(0, 5))
+    edge_taus = st.sampled_from([5e-324, 1e-308, 1.0, 1.000000001, 1.000000002]).map(lambda t: t / (levels + 1))
+    fields = {
+        "d": (st.integers(k, k + 8), st.integers(1, k + 8)),
+        "gammas": (
+            st.lists(st.floats(1e-6, 50.0), min_size=k, max_size=k).map(sorted),
+            st.lists(st.floats(-1.0, 50.0), max_size=9),
+        ),
+        "c": (st.floats(0.0, 1.0, exclude_max=True), st.floats(-1.0, 2.0)),
+        "sigma": (st.floats(0.0, 10.0), st.floats(-1.0, 10.0)),
+        "base_tau": (st.floats(1e-6, 1.0 / (levels + 1)), st.floats(0.0, 1.2 / (levels + 1)) | edge_taus),
+    }
+    wild = draw(st.sampled_from([None, *fields]))
+    drawn = {name: draw(wide if name == wild else valid) for name, (valid, wide) in fields.items()}
+    return dict(seed=draw(st.integers(0, 2**32)), k=k, levels=levels, **drawn)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(fields=model_fields())
+@example(fields=dict(seed=0, k=2, d=1, gammas=[1.0, 2.0], c=0.0, sigma=0.0, base_tau=0.01, levels=0))
+@example(fields=dict(seed=0, k=1, d=1, gammas=[1.0], c=0.0, sigma=0.0, base_tau=1.000000001, levels=0))
+def test_every_accepted_config_builds_its_model_and_schedule(fields):
+    """The config is the one gate: past it, the model and every level of
+    the theory schedule build without a check of their own."""
+    try:
+        config = ExperimentConfig(**fields)
+    except ValueError:
+        assume(False)
+    model = new_model(config.k, config.d, config.gammas, config.c, config.sigma, config.seed)
+    assert model.xbar.shape == (config.d, config.k)
+    np.testing.assert_allclose(model.xbar.T @ model.xbar, np.eye(config.k), atol=1e-10)
+    schedule = schedule_of(config)
+    assert all(schedule.budget(level) >= 1 for level in range(config.levels + 1))
 
 
 class TestAdapters:
