@@ -1,5 +1,6 @@
 """Tests for condition-number bounds, concentration and spectra."""
 
+import json
 import math
 import tracemalloc
 import warnings
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from skipstack.cli import main
 from skipstack.conditioning import (
     bernstein_bound,
     bernstein_coverage_test,
@@ -95,6 +97,16 @@ class TestTheorem1Bounds:
         assert more_samples < base
         assert more_signals > base
         assert tighter > base
+
+    def test_bad_confidence_rejected(self, tmp_path, capsys):
+        # the bounds trust delta: the config rejects it when it loads, so the
+        # verb that feeds config.delta to theorem1_bounds stops before them
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"seed": 0, "delta": 0.0}))
+        out = tmp_path / "out"
+        assert main(["sim-bounds", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "delta must lie in (0, 1), got 0.0" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestCorollary1:
