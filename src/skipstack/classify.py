@@ -295,11 +295,11 @@ class EvalReport:
     macc: float
     mean_ap: float
     per_class: list[PerClassResult]
-    confusion: np.ndarray
 
 
 def evaluate(clf: OneVsAllClassifier, x: np.ndarray, labels) -> EvalReport:
-    """Mean per-class accuracy and mean average precision on a labeled set.
+    """Mean per-class accuracy and mean average precision on a labeled set,
+    with each evaluated class's accuracy, average precision and support.
 
     Classes with no test samples are dropped from both means with a
     warning, so a thin test split degrades the report instead of biasing
@@ -311,10 +311,6 @@ def evaluate(clf: OneVsAllClassifier, x: np.ndarray, labels) -> EvalReport:
     if missing.size:
         raise ValueError(f"the classifier has no model for test labels {missing.tolist()}")
     scores, predicted = predict(clf, x)
-    idx_of = {cls: i for i, cls in enumerate(clf.classes)}
-    confusion = np.zeros((clf.classes.size, clf.classes.size), dtype=int)
-    for true, pred in zip(labels, predicted):
-        confusion[idx_of[true], idx_of[pred]] += 1
     per_class = []
     for i, cls in enumerate(clf.classes):
         mask = labels == cls
@@ -333,7 +329,6 @@ def evaluate(clf: OneVsAllClassifier, x: np.ndarray, labels) -> EvalReport:
         macc=float(np.mean([p.accuracy for p in per_class])),
         mean_ap=float(np.mean([p.average_precision for p in per_class])),
         per_class=per_class,
-        confusion=confusion,
     )
 
 

@@ -150,11 +150,11 @@ def cmd_sim_condition(config: ExperimentConfig, out: Path, args) -> list[Path]:
             model, schedule, config.delta, config.trials, config.seed
         ),
     }
-    rows = [
+    rows = (
         (case, trial, beta, summary.bound_lower, summary.bound_upper, int(within))
         for case, summary in cases.items()
         for trial, (beta, within) in enumerate(zip(summary.betas, summary.within))
-    ]
+    )
     table = _write_csv(out / "coverage.csv", PLOT_HEADERS["coverage"], rows)
     summary = _write_json(
         out / "coverage-summary.json",
@@ -215,9 +215,9 @@ def cmd_spectrum(config: ExperimentConfig, out: Path, args) -> list[Path]:
     for levels in range(config.levels + 1):
         schedule = SkipSchedule(base_tau=base_tau, levels=levels)
         stacked = mifs_stack(model, schedule, config.seed)
-        curve = spectrum_curve(stacked)
+        sigmas = spectrum_curve(stacked.f if stacked.f is not None else stacked.p)
         rows.extend(
-            (levels, index + 1, sigma) for index, sigma in enumerate(curve.sigmas)
+            (levels, index + 1, sigma) for index, sigma in enumerate(sigmas)
         )
     return [_write_csv(out / "spectrum.csv", PLOT_HEADERS["spectrum"], rows)]
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .features import FeatureMatrix, SkipSchedule, budget, mifs_stack
+from .features import SkipSchedule, budget, mifs_stack
 from .latent import LatentModel, sample_difference_matrix
 from .streams import stream
 
@@ -185,8 +185,6 @@ def bernstein_coverage_test(p_dim: int, n: int, b: float, delta: float, trials: 
     stay at or below delta; the bound is loose enough that it is usually
     zero.
     """
-    if trials < 100:
-        raise ValueError(f"trials must be >= 100, got {trials}")
     scale = math.sqrt(b / p_dim)
     norm_es = n * b / p_dim
     radius = bernstein_bound(b, norm_es, p_dim, delta)
@@ -201,27 +199,17 @@ def bernstein_coverage_test(p_dim: int, n: int, b: float, delta: float, trials: 
     return int(np.count_nonzero(norms > radius)) / trials
 
 
-@dataclass
-class SpectrumCurve:
-    """Top singular values of a feature matrix, normalized by the largest."""
+def spectrum_curve(matrix) -> np.ndarray:
+    """Top-10 singular values of a 2-D matrix (features as columns),
+    normalized by the largest.
 
-    sigmas: np.ndarray
-
-
-def spectrum_curve(source) -> SpectrumCurve:
-    """Top-10 normalized singular values of a feature matrix.
-
-    Accepts a bare matrix (features as columns) or a FeatureMatrix (the
-    observed matrix f when present, else p). Needs >= 10 feature columns;
-    a matrix whose Gram matrix is all zero or not finite, in its entries
-    or its largest eigenvalue, has no spectrum and is rejected. Any other
-    gives a curve that starts at exactly 1, never increases and lies in
-    [0, 1]. Shorter curves come out when the matrix has fewer than 10 rows.
+    Needs >= 10 feature columns; a matrix whose Gram matrix is all zero or
+    not finite, in its entries or its largest eigenvalue, has no spectrum
+    and is rejected. Any other gives a curve that starts at exactly 1,
+    never increases and lies in [0, 1]. Shorter curves come out when the
+    matrix has fewer than 10 rows.
     """
-    if isinstance(source, FeatureMatrix):
-        matrix = source.f if source.f is not None else source.p
-    else:
-        matrix = np.asarray(source, dtype=float)
+    matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2:
         raise ValueError(f"need a 2-D matrix, got shape {matrix.shape}")
     rows, cols = matrix.shape
@@ -238,7 +226,7 @@ def spectrum_curve(source) -> SpectrumCurve:
         raise ValueError("Gram matrix has non-finite entries or eigenvalues, or is all-zero, so no spectrum")
     keep = min(10, eigs.size)
     sigmas = np.sqrt(np.clip(eigs[:keep], 0.0, None))
-    return SpectrumCurve(sigmas=sigmas / sigmas[0])
+    return sigmas / sigmas[0]
 
 
 @dataclass
@@ -268,8 +256,6 @@ def coverage_experiment(
     every stack comes from. Trials are independent of each other and of
     their order.
     """
-    if trials < 100:
-        raise ValueError(f"trials must be >= 100, got {trials}")
     if isinstance(skip, SkipSchedule):
         bounds = theorem2_bounds(model.gammas, model.c, skip, delta)
 

@@ -104,7 +104,7 @@ class ExperimentConfig:
             (self.gmm_components >= 1, f"gmm_components must be >= 1, got {self.gmm_components}"),
             (self.train_budget >= 10 * self.gmm_components, "train_budget must be >= 10 * gmm_components"),
             (self.svm_c > 0, f"svm_c must be > 0, got {self.svm_c}"),
-            (self.trials >= 1, f"trials must be >= 1, got {self.trials}"),
+            (self.trials >= 100, f"trials must be >= 100, got {self.trials}"),
             (0.0 < self.delta < 1.0, f"delta must lie in (0, 1), got {self.delta}"),
             (self.n_classes >= 2, f"need at least 2 classes, got {self.n_classes}"),
             (

@@ -309,15 +309,9 @@ def gmm_sample(gmm: GmmModel, n: int, rng: np.random.Generator) -> np.ndarray:
     return gmm.means[comps] + noise * np.sqrt(gmm.variances[comps])
 
 
-@dataclass
-class FisherEncoding:
-    """Concatenated mean- and variance-gradient blocks, 2 * K * D values."""
-
-    vector: np.ndarray
-
-
-def fisher_vector(gmm: GmmModel, descriptors: np.ndarray) -> FisherEncoding:
-    """Unnormalized Fisher encoding of a descriptor set under the mixture.
+def fisher_vector(gmm: GmmModel, descriptors: np.ndarray) -> np.ndarray:
+    """Unnormalized Fisher encoding of a descriptor set under the mixture:
+    the mean- and variance-gradient blocks concatenated, 2 * K * D values.
 
     Mean block (1/(N sqrt(w_k))) sum_n gamma_n(k) (x_n - mu_k)/sigma_k and
     variance block (1/(N sqrt(2 w_k))) sum_n gamma_n(k) ((x_n-mu_k)^2 /
@@ -342,7 +336,7 @@ def fisher_vector(gmm: GmmModel, descriptors: np.ndarray) -> FisherEncoding:
         sum_x2 - 2.0 * gmm.means * sum_x + mass[:, None] * gmm.means**2
     ) / gmm.variances - mass[:, None]
     g_var /= n * np.sqrt(2.0 * gmm.weights)[:, None]
-    return FisherEncoding(vector=np.concatenate([g_mu.ravel(), g_var.ravel()]))
+    return np.concatenate([g_mu.ravel(), g_var.ravel()])
 
 
 def power_normalize(v: np.ndarray) -> np.ndarray:
@@ -425,15 +419,16 @@ def fit_codec(
     return FisherCodec(pca=pca, gmm=gmm), reduced
 
 
-def encode_sample(codec: FisherCodec, rows: np.ndarray) -> FisherEncoding:
-    """Fisher-encode one sample's augmented rows (``augment``'s, or its
-    block of ``fit_codec``'s reduced pool), then normalize."""
+def encode_sample(codec: FisherCodec, rows: np.ndarray) -> np.ndarray:
+    """The normalized Fisher vector of one sample's augmented rows
+    (``augment``'s, or its block of ``fit_codec``'s reduced pool):
+    ``codec.encoding_dim`` values of unit norm, or all zeros."""
     raw = fisher_vector(codec.gmm, rows)
-    vec = l2_normalize(power_normalize(raw.vector))
+    vec = l2_normalize(power_normalize(raw))
     # The second pass only moves the last bits of a vector that is already
     # unit-norm, but the coordinate-descent SVM amplifies those bits into
     # different grid accuracies, so it stays to keep the outputs as they are.
-    return FisherEncoding(vector=l2_normalize(vec))
+    return l2_normalize(vec)
 
 
 def save_codec(codec: FisherCodec, path) -> None:

@@ -55,11 +55,11 @@ def encode(
     codec, reduced = fit_codec(extract, dataset.train_idx, config, rng=rng)
     encodings = np.empty((len(dataset.series), codec.encoding_dim))
     for i, rows in zip(dataset.train_idx, np.split(reduced, len(dataset.train_idx))):
-        encodings[i] = encode_sample(codec, rows).vector
+        encodings[i] = encode_sample(codec, rows)
     # the last block is a view that keeps the whole pool alive
     del reduced, rows
     for i in dataset.test_idx:
-        encodings[i] = encode_sample(codec, augment(codec.pca, extract(i))).vector
+        encodings[i] = encode_sample(codec, augment(codec.pca, extract(i)))
     return codec, encodings
 
 

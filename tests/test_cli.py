@@ -249,7 +249,7 @@ class TestSimulationVerbs:
         assert {row["level"] for row in rows} == {"0", "1", "2"}
         model = new_model(4, 8, (0.005, 0.01, 0.04, 0.08), 0.1, 0.0, 0)
         stacked = mifs_stack(model, SkipSchedule(base_tau=0.01, levels=0), 0)
-        expected = spectrum_curve(stacked).sigmas
+        expected = spectrum_curve(stacked.p)
         got = [float(row["sigma_normalized"]) for row in rows if row["level"] == "0"]
         assert got == pytest.approx(expected)
 
@@ -487,6 +487,10 @@ class TestConfigErrors:
         + [
             ("model-gen", dict(base_tau=0.3, levels=3), "exceeds the normalized duration"),
             ("model-gen", dict(frames=20, levels=3, speeds=[1], harmonics=1), "frames must be >= 25"),
+        ]
+        + [
+            (verb, dict(trials=20), "trials must be >= 100, got 20")
+            for verb in ("model-gen", "sim-bounds", "spectrum", "dataset-gen", "sim-condition", "bernstein-check")
         ],
     )
     def test_bad_field_exit_2_before_any_work(self, tmp_path, capsys, verb, overrides, message):

@@ -102,6 +102,7 @@ class TestValidation:
             (dict(base_tau=10**308, levels=1), "exceeds the normalized duration"),
             (dict(base_tau=5e-324), "no finite sample budget"),
             (dict(frames=20, speeds=(1,), harmonics=1), "frames must be >= 25"),
+            (dict(trials=99), "trials must be >= 100, got 99"),
         ],
     )
     def test_bad_values(self, fields, message):

@@ -453,7 +453,7 @@ class TestMatchesPointMajorReference:
     def test_fisher_vector(self, k, dim, rows):
         gmm = gmm_fit(clustered(10 * k + 200, dim, seed=k), k, rng=stream(k))
         x = clustered(rows, dim, seed=rows + k)
-        assert np.array_equal(fisher_vector(gmm, x).vector, reference_fisher_vector(gmm, x))
+        assert np.array_equal(fisher_vector(gmm, x), reference_fisher_vector(gmm, x))
 
     def test_mean_log_likelihood(self):
         gmm = random_gmm(5, 10, 3)
@@ -495,7 +495,7 @@ class TestFisherVector:
     def test_single_component_at_mode(self):
         gmm = GmmModel(weights=[1.0], means=[[1.0, -2.0]], variances=[[1.0, 4.0]])
         x = np.tile([1.0, -2.0], (10, 1))
-        fv = fisher_vector(gmm, x).vector
+        fv = fisher_vector(gmm, x)
         np.testing.assert_allclose(fv[:2], 0.0, atol=1e-12)
         np.testing.assert_allclose(fv[2:], -1.0 / math.sqrt(2.0), atol=1e-12)
 
@@ -509,7 +509,7 @@ class TestFisherVector:
         n = int(rng.integers(10, 51))
         gmm = random_gmm(k, dim, seed)
         x = rng.normal(scale=2.0, size=(n, dim))
-        fv = fisher_vector(gmm, x).vector
+        fv = fisher_vector(gmm, x)
         g_mu = fv[: k * dim].reshape(k, dim)
         g_var = fv[k * dim :].reshape(k, dim)
         h = 1e-5
@@ -544,7 +544,7 @@ class TestFisherVector:
             variances=[[1.0, 0.5, 1.5], [0.8, 1.2, 1.0]],
         )
         x = gmm_sample(gmm, 10**5, stream(11))
-        fv = fisher_vector(gmm, x).vector
+        fv = fisher_vector(gmm, x)
         assert np.linalg.norm(fv) < 0.02
 
     def test_dimension_mismatch_rejected(self):
@@ -583,14 +583,14 @@ class TestCodec:
         d_reduced = (d_raw + 1) // 2
         assert codec.encoding_dim == 2 * 4 * (d_reduced + 1)
         e = encode_sample(codec, augment(codec.pca, sets[0]))
-        assert e.vector.size == codec.encoding_dim
-        assert np.linalg.norm(e.vector) == pytest.approx(1.0, abs=1e-10)
+        assert e.size == codec.encoding_dim
+        assert np.linalg.norm(e) == pytest.approx(1.0, abs=1e-10)
 
     def test_identical_descriptors_identical_encodings(self):
         sets = toy_descriptor_sets()
         codec, _ = fit_codec(sets.__getitem__, range(len(sets)), CODEC_CONFIG, rng=stream(14))
-        a = encode_sample(codec, augment(codec.pca, sets[2])).vector
-        b = encode_sample(codec, augment(codec.pca, sets[2])).vector
+        a = encode_sample(codec, augment(codec.pca, sets[2]))
+        b = encode_sample(codec, augment(codec.pca, sets[2]))
         assert np.array_equal(a, b)
 
     def test_reduced_pool_holds_each_sets_augmented_rows(self):

@@ -26,7 +26,7 @@ TINY = {
     "seed": 0,
     "gammas": [0.005, 0.01, 0.04, 0.08],
     "levels": 1,
-    "trials": 20,
+    "trials": 100,
     "n_classes": 3,
     "speeds": [1, 2],
     "samples_per_cell": 4,
@@ -106,7 +106,7 @@ def test_mistyped_config_exits_2(config, verb):
         ["model-gen", "cost-report", "sim-bounds", "sim-condition", "bernstein-check", "spectrum", "dataset-gen"]
     ),
 )
-@example(config={**TINY, "trials": 100, "k": 0}, verb="bernstein-check")  # TINY's 20 trials stop before k
+@example(config={**TINY, "k": 0}, verb="bernstein-check")
 @example(config={**TINY, "gammas": []}, verb="sim-bounds")
 @example(config={**TINY, "gammas": [-10] * 4, "base_tau": 1e-4}, verb="sim-bounds")
 @example(config={**TINY, "base_tau": 5e-324}, verb="cost-report")
