@@ -209,6 +209,17 @@ class TestBernstein:
         rate = bernstein_coverage_test(4, 500, 4.0, 0.1, trials=200, seed=5)
         assert rate <= 0.1
 
+    def test_too_few_trials_rejected(self, tmp_path, capsys):
+        # the harness trusts trials: the config rejects it when it loads, so
+        # the verb that feeds config.trials to bernstein_coverage_test stops
+        # before it
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"seed": 0, "trials": 50}))
+        out = tmp_path / "out"
+        assert main(["bernstein-check", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "trials must be >= 100, got 50" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSpectrumCurve:
     def test_isotropic_matrix_is_flat(self):
@@ -308,6 +319,16 @@ class TestCoverageExperiment:
         a = coverage_experiment(model, 0.01, 0.1, 100, seed=11)
         b = coverage_experiment(model, 0.01, 0.1, 100, seed=11)
         assert np.array_equal(a.betas, b.betas)
+
+    def test_too_few_trials_rejected(self, tmp_path, capsys):
+        # the config rejects trials when it loads, so the verb that feeds
+        # config.trials to coverage_experiment stops before it
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"seed": 0, "trials": 50}))
+        out = tmp_path / "out"
+        assert main(["sim-condition", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "trials must be >= 100, got 50" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestBinomialTail:
