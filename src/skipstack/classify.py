@@ -15,9 +15,13 @@ monotone by construction rather than by tuning.
 The binary problems of one ``svm_train_many`` call (every class of every
 feature matrix, such as all schedules of a recognition grid) are
 stepped together: each coordinate step is one array step with a row per
-problem. Each problem keeps the exact arithmetic of a lone run (its own
-coordinate order, matvec, bias step, objective and convergence test), so
-batching changes no bit of a model.
+problem, and each epoch's bias steps are one stable row sort. Each
+problem keeps the exact arithmetic of a lone run (its own coordinate
+order, matvec, bias step, objective and convergence test), so batching
+changes no bit of a model. Column magnitudes and zero counts are taken
+once per call, and the step buffers once per epoch; a step finds its
+first valid segment by one comparison along the row (see
+``_weight_steps``).
 
 Prediction takes the argmax of the per-class raw scores with the lowest
 class index breaking ties. Evaluation reports mean per-class accuracy and
@@ -53,28 +57,43 @@ def _objective(w: np.ndarray, margins: np.ndarray, c: float) -> float:
     return 0.5 * float(w @ w) + c * float(np.sum(np.maximum(0.0, 1.0 - margins)))
 
 
+def _step_buffers(rows: int, n: int) -> tuple[np.ndarray, ...]:
+    """Scratch that one epoch's weight steps over ``rows`` problems of ``n``
+    samples share: segment ends framed by -inf and +inf, the cumulative drops
+    after a leading 0, the row numbers, and each row's first flat index."""
+    ends = np.empty((rows, n + 2))
+    ends[:, 0], ends[:, -1] = -np.inf, np.inf
+    at = np.arange(rows)
+    return ends, np.zeros((rows, n + 1)), at, at[:, None] * n
+
+
 def _weight_steps(
-    w_j: np.ndarray, coef: np.ndarray, r: np.ndarray, c: np.ndarray, s_first: np.ndarray
+    w_j: np.ndarray, coef: np.ndarray, size: np.ndarray, r: np.ndarray, c: np.ndarray,
+    s_first: np.ndarray, real: np.ndarray | None, buffers: tuple[np.ndarray, ...],
 ) -> np.ndarray:
     """Per row p, the exact minimizer over delta of
     (1/2)(w_j[p] + delta)^2 + c[p] sum_i max(0, r[p, i] - delta*coef[p, i]).
 
-    A zero coefficient pads its row: its breakpoint is +inf and it drops
-    nothing, so rows with different numbers of breakpoints step as one
-    array. ``s_first`` is each row's sum of positive coefficients, summed
-    over the compressed nonzero vector so its bits match a lone problem.
+    ``size`` is ``|coef|`` and ``c`` is positive. ``real`` is None when no
+    coefficient is zero, else each row's count of nonzero ones: a zero
+    coefficient pads its row with breakpoint +inf and drops nothing, so rows
+    with different numbers of breakpoints step as one array. ``s_first`` is
+    each row's sum of positive coefficients, summed over the compressed
+    nonzero vector so its bits match a lone problem. ``r`` is overwritten.
     """
-    rows, n = coef.shape
-    nz = coef != 0.0
-    real_count = nz.sum(axis=1)
-    raw = np.divide(r, coef, out=np.full((rows, n), np.inf), where=nz)
+    n = coef.shape[1]
+    ends, drops, at, starts = buffers
+    raw = r
+    if real is None:
+        np.divide(r, coef, out=raw)
+    else:
+        zero = coef == 0.0
+        np.divide(r, coef, out=raw, where=~zero)
+        raw[zero] = np.inf
     # flat indices of each row's ascending breakpoints
     order = raw.argsort(axis=1)
-    order += np.arange(0, rows * n, n)[:, None]
+    order += starts
     # segment ends: -inf, the breakpoints, +inf
-    ends = np.empty((rows, n + 2))
-    ends[:, 0] = -np.inf
-    ends[:, -1] = np.inf
     breaks = ends[:, 1:-1]
     raw.take(order, out=breaks)
     # tied breakpoints drop in index order, as a stable sort would put them;
@@ -83,45 +102,58 @@ def _weight_steps(
     # candidate row cheaply; the row test then counts real breakpoints only.
     flat = ends.ravel()
     if (flat[1:] == flat[:-1]).any():
-        tie = (breaks[:, 1:] == breaks[:, :-1]) & (np.arange(1, n) < real_count[:, None])
+        tie = breaks[:, 1:] == breaks[:, :-1]
+        if real is not None:
+            tie &= np.arange(1, n) < real[:, None]
         tied = tie.any(axis=1).nonzero()[0]
         order[tied] = raw[tied].argsort(axis=1, kind="stable") + (tied * n)[:, None]
         breaks[tied] = raw.take(order[tied])
-    # sum of active coefficients left of every breakpoint, then after each
-    s_levels = np.empty((rows, n + 1))
-    s_levels[:, 0] = s_first
-    np.subtract(s_first[:, None], np.abs(coef).take(order).cumsum(axis=1), out=s_levels[:, 1:])
-    # zero of the linear derivative on each open segment; a padded segment
-    # has lower end +inf and is never valid
-    scaled = c[:, None] * s_levels
+    # C times the sum of active coefficients left of every breakpoint, then after each
+    size.take(order).cumsum(axis=1, out=drops[:, 1:])
+    scaled = np.subtract(s_first[:, None], drops)
+    scaled *= c[:, None]
+    # zero of the linear derivative on each open segment. Along a row the
+    # candidates fl(C S_k) - w do not increase (each level S_k subtracts a
+    # running sum of magnitudes, C > 0 and rounding is monotone) and the ends
+    # do not decrease. So a candidate above its upper end has every earlier
+    # one above its own, and one at or above its lower end has every earlier
+    # one at or above its own: the valid segments are contiguous, and the
+    # first segment whose candidate is not above its upper end (one exists,
+    # the last end being +inf) is the first valid one exactly when its
+    # candidate is at or above its lower end. A padded segment has lower end
+    # +inf and is never valid.
     candidates = scaled - w_j[:, None]
-    valid = (candidates >= ends[:, :-1]) & (candidates <= ends[:, 1:])
+    first = (candidates <= ends[:, 1:]).argmax(axis=1)
+    delta = candidates[at, first]
+    valid = delta >= ends[at, first]
     # derivative jumps across zero at a breakpoint. With finite values and no
     # valid segment the last real breakpoint b hits, so the first hit is real:
     # its segment's candidate fl(S - w) < b gives S - w < b, as rounding is
     # monotone and b a float, so w + b > S and fl(fl(w + b) - S) >= 0.
     hit = w_j[:, None] + breaks - scaled[:, 1:] >= 0.0
-    at = np.arange(rows)
-    kink = breaks[at, hit.argmax(axis=1)]
-    first_valid = valid.argmax(axis=1)
-    delta = np.where(valid[at, first_valid], candidates[at, first_valid], kink)
+    delta = np.where(valid, delta, breaks[at, hit.argmax(axis=1)])
     # an all-zero column leaves only the quadratic term
-    return np.where(real_count == 0, -w_j, delta)
+    return delta if real is None else np.where(real == 0, -w_j, delta)
 
 
-def _exact_bias_step(y: np.ndarray, r: np.ndarray, c: float) -> float:
-    """Exact minimizer over delta of sum max(0, r - delta*y): piecewise linear."""
+def _exact_bias_step(y: np.ndarray, r: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Per row p, the exact minimizer over delta of sum max(0, r[p] - delta*y[p]),
+    which is piecewise linear."""
+    rows, n = y.shape
     breaks = r / y
-    order = np.argsort(breaks, kind="stable")
-    breaks = breaks[order]
-    s_levels = np.empty(breaks.size + 1)
-    s_levels[0] = np.sum(y > 0)
-    np.subtract(s_levels[0], np.cumsum(np.abs(y[order])), out=s_levels[1:])
-    # derivative right of breakpoint k is -C * s_levels[k+1]. The levels are
-    # exact small integers, and the last is -(number of negative labels) <= 0,
-    # so with C > 0 the last breakpoint always hits (-0.0 >= 0 included).
-    hit = -c * s_levels[1:] >= 0.0
-    return float(breaks[np.argmax(hit)])
+    # a stable sort of each row is the one-dimensional stable sort
+    breaks = np.take_along_axis(breaks, breaks.argsort(axis=1, kind="stable"), axis=1)
+    # derivative right of breakpoint k is -C * s_levels[k], the number of
+    # positive labels less k+1. The levels are exact small integers, and the
+    # last is -(number of negative labels) <= 0, so with C > 0 the last
+    # breakpoint always hits (-0.0 >= 0 included).
+    s_levels = (y > 0).sum(axis=1)[:, None] - np.arange(1.0, n + 1)
+    hit = -c[:, None] * s_levels >= 0.0
+    return breaks[np.arange(rows), hit.argmax(axis=1)]
+
+
+# coefficient rows are gathered for this many steps at a time
+_GATHER = 4
 
 
 def _descend(
@@ -137,15 +169,19 @@ def _descend(
 
     Problem p trains on ``xs[source[p]]`` with labels ``ys[p]`` (+-1) and
     cost ``cs[p]``. It draws its coordinate order per epoch from
-    ``stream(seeds[p])``, and keeps its own matvec, bias step, objective
-    and convergence test, after which it leaves the active set; only the
-    weight steps are taken together, one row per active problem.
+    ``stream(seeds[p])``, and keeps its own matvec, objective and
+    convergence test, after which it leaves the active set; the weight
+    steps, and each epoch's bias steps, are taken together, one row per
+    active problem.
     """
     n, dim = xs[0].shape
     count = len(seeds)
     xts = np.stack([x.T for x in xs])
-    # row s * dim + j is column j of source s, contiguous
+    # row s * dim + j is column j of source s, contiguous. Labels are +-1, so
+    # |y * column| is |column| exactly
     columns = xts.reshape(-1, n)
+    sizes = np.abs(columns)
+    zeros = (columns == 0.0).sum(axis=1)
     c_all = np.asarray(cs, dtype=float)
     # per problem and column, the sum of positive coefficients as one vector sum
     s_first = np.array(
@@ -160,29 +196,38 @@ def _descend(
         if not active:
             break
         at = np.asarray(active)
-        y, c, w_at, s_at = ys[at], c_all[at], w[at], s_first[at]
+        y, c = ys[at], c_all[at]
         # kill incremental drift once per epoch
         margins = np.stack([ys[p] * (xs[source[p]] @ w[p] + b[p]) for p in active])
         perms = np.stack([rngs[p].permutation(dim) for p in active])
-        # step t visits, per problem, flat index cell[t] of w_at and row column[t] of columns
-        cell = (perms + np.arange(0, at.size * dim, dim)[:, None]).T.copy()
+        # step-major: row t holds what each problem's step t visits
+        visits = (at[:, None], perms)
+        weights, firsts = w[visits].T.copy(), s_first[visits].T.copy()
         column = (perms + (source[at] * dim)[:, None]).T.copy()
+        real = n - zeros.take(column)
+        padded = (real < n).any(axis=1).tolist()
+        buffers = _step_buffers(at.size, n)
+        r = np.empty_like(margins)
         for t in range(dim):
-            coef = y * columns.take(column[t], axis=0)
-            w_j = w_at.take(cell[t])
-            delta = _weight_steps(w_j, coef, 1.0 - margins, c, s_at.take(cell[t]))
+            k = t % _GATHER
+            if k == 0:
+                block = column[t : t + _GATHER]
+                coefs, magnitudes = y * columns.take(block, axis=0), sizes.take(block, axis=0)
+            np.subtract(1.0, margins, out=r)
+            real_t = real[t] if padded[t] else None
+            delta = _weight_steps(weights[t], coefs[k], magnitudes[k], r, c, firsts[t], real_t, buffers)
             # unconditional updates: a zero delta keeps w_j (no weight is ever
             # -0.0) and flips at most the sign of a zero margin, which only
             # ever enters as 1 - margin or as the base of an update
-            w_at.put(cell[t], w_j + delta)
-            margins = margins + delta[:, None] * coef
-        w[at] = w_at
+            weights[t] += delta
+            margins += delta[:, None] * coefs[k]
+        w[visits] = weights.T
+        # the same holds for b, which starts at +0.0
+        delta = _exact_bias_step(y, 1.0 - margins, c)
+        b[at] += delta
+        margins += delta[:, None] * y
         still = []
         for row, p in enumerate(active):
-            delta = _exact_bias_step(ys[p], 1.0 - margins[row], cs[p])
-            if delta != 0.0:
-                b[p] += delta
-                margins[row] = margins[row] + delta * ys[p]
             prev = traces[p][-1]
             current = _objective(w[p], margins[row], cs[p])
             traces[p].append(current)
@@ -232,6 +277,10 @@ def svm_train_many(
     if len(seeds) != len(xs):
         raise ValueError(f"{len(xs)} feature matrices but {len(seeds)} seeds")
     labels = np.asarray(labels)
+    if len(labels) != xs[0].shape[0]:
+        raise ValueError(f"{xs[0].shape[0]} feature rows but {len(labels)} labels")
+    if not 0.0 < c < np.inf:
+        raise ValueError(f"c must be positive and finite, got {c}")
     classes = np.unique(labels)
     if classes.size < 2:
         raise ValueError("need at least 2 classes to train")

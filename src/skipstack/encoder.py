@@ -302,13 +302,6 @@ def gmm_fit(data: np.ndarray, k_components: int, rng: np.random.Generator) -> Gm
     return gmm
 
 
-def gmm_sample(gmm: GmmModel, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw n points from the mixture."""
-    comps = rng.choice(gmm.k, size=n, p=gmm.weights)
-    noise = rng.standard_normal((n, gmm.means.shape[1]))
-    return gmm.means[comps] + noise * np.sqrt(gmm.variances[comps])
-
-
 def fisher_vector(gmm: GmmModel, descriptors: np.ndarray) -> np.ndarray:
     """Unnormalized Fisher encoding of a descriptor set under the mixture:
     the mean- and variance-gradient blocks concatenated, 2 * K * D values.

@@ -7,7 +7,7 @@ drawn before it. One rule says which kind of argument a routine takes:
 a routine that derives sub-streams takes a seed key (``new_model``,
 ``mifs_stack``, ``coverage_experiment``, ``bernstein_coverage_test``); a
 routine that draws in sequence takes a ``Generator`` and leaves it advanced
-(``sample_difference_matrix``, ``gmm_fit``, ``gmm_sample``, ``fit_codec``).
+(``sample_difference_matrix``, ``gmm_fit``, ``fit_codec``).
 
 Every key the package derives, with ``seed`` the config seed:
 

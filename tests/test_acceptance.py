@@ -29,11 +29,12 @@ from skipstack.conditioning import (
 )
 from skipstack.config import ExperimentConfig
 from skipstack.dataset import generate_dataset
-from skipstack.encoder import GmmModel, fisher_vector, gmm_fit, gmm_sample, mean_log_likelihood
+from skipstack.encoder import GmmModel, fisher_vector, gmm_fit, mean_log_likelihood
 from skipstack.features import SkipSchedule, level_cost_report, mifs_stack
 from skipstack.latent import new_model, sample_difference_matrix
 from skipstack.pipeline import recognition_grid
 from skipstack.streams import stream
+from test_encoder import gmm_sample
 
 
 def test_c01_sandwich_coverage_at_reference_settings():

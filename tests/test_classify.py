@@ -15,6 +15,7 @@ from skipstack.classify import (
     LinearModel,
     _average_precision,
     _objective,
+    _step_buffers,
     _weight_steps,
     evaluate,
     load_classifier,
@@ -197,7 +198,10 @@ class TestReferenceOracle:
         coef[0], r[0] = 1.0, np.arange(1.0, n + 1)
         coef[1, :2], r[1, :2] = 1.0, (1.0, 2.0)
         s_first = np.array([row[row > 0].sum() for row in coef])
-        got = _weight_steps(w_j, coef, r, c, s_first)
+        real = (coef != 0.0).sum(axis=1)
+        got = _weight_steps(
+            w_j, coef, np.abs(coef), r.copy(), c, s_first, real, _step_buffers(rows, n)
+        )
         want = [_exact_weight_step(w_j[i], coef[i], r[i], c[i]) for i in range(rows)]
         assert got.tobytes() == np.array(want).tobytes()
         assert got[:2].tolist() == [12.0, 2.0]
@@ -237,7 +241,7 @@ class TestReferenceOracle:
         no breakpoint hits; its last slope level, -(number of negative
         labels), always hits. It must still equal the oracle bit for bit."""
         y, r = (np.array(column) for column in zip(*pairs))
-        got = classify._exact_bias_step(y, r, c)
+        [got] = classify._exact_bias_step(y[None], r[None], np.array([c]))
         want = _exact_bias_step(y, r, c)
         assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
@@ -273,6 +277,38 @@ class TestReferenceOracle:
     def test_one_seed_per_matrix(self):
         with pytest.raises(ValueError, match="2 feature matrices but 1 seeds"):
             svm_train_many([np.eye(4), np.eye(4)], [0, 0, 1, 1], 1.0, [0])
+
+    @pytest.mark.parametrize(
+        "x, labels, message",
+        [
+            (np.array([[1.0, 2.0, 3.0]]), [0, 1], "1 feature rows but 2 labels"),
+            (np.eye(4), [0, 1, 1], "4 feature rows but 3 labels"),
+        ],
+    )
+    def test_one_label_per_row(self, x, labels, message):
+        with pytest.raises(ValueError, match=message):
+            svm_train_many([x], labels, 1.0, [0])
+
+    @pytest.mark.parametrize("c", [0.0, -1.0, math.inf, math.nan])
+    def test_cost_must_be_positive_and_finite(self, c):
+        with pytest.raises(ValueError, match="c must be positive"):
+            svm_train_many([np.eye(4)], [0, 0, 1, 1], c, [0])
+
+    def test_grid_shape_matches_the_one_problem_solver(self):
+        # the shape a recognition grid trains: dense columns, more columns
+        # than samples, a dimension that is not a multiple of the gather
+        # block, and problems that leave the active set after different
+        # epoch counts
+        rng = np.random.default_rng(24)
+        labels = np.arange(60) % 3
+        xs = [rng.normal(size=(60, 161)) for _ in range(2)]
+        seeds = [5, (5, 1)]
+        assert 161 % classify._GATHER != 0
+        epochs = set()
+        for x, seed, clf in zip(xs, seeds, svm_train_many(xs, labels, 100.0, seeds), strict=True):
+            assert_bit_identical(clf.models, reference_models(x, labels, 100.0, seed))
+            epochs.update(m.epochs_run for m in clf.models)
+        assert len(epochs) > 1
 
 
 class TestTraining:

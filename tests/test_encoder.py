@@ -21,7 +21,6 @@ from skipstack.encoder import (
     fisher_vector,
     fit_codec,
     gmm_fit,
-    gmm_sample,
     l2_normalize,
     mean_log_likelihood,
     pca_apply,
@@ -34,6 +33,13 @@ from skipstack.streams import stream
 
 
 CODEC_CONFIG = ExperimentConfig(seed=0, gmm_components=4, train_budget=500)
+
+
+def gmm_sample(gmm: GmmModel, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw n points from the mixture."""
+    comps = rng.choice(gmm.k, size=n, p=gmm.weights)
+    noise = rng.standard_normal((n, gmm.means.shape[1]))
+    return gmm.means[comps] + noise * np.sqrt(gmm.variances[comps])
 
 
 # --- reference: the point-major E-step that the shared kernel replaced -------
