@@ -12,16 +12,17 @@ minimizer at a breakpoint. Every coordinate step solves its subproblem
 exactly, so the objective never increases and the per-epoch trace is
 monotone by construction rather than by tuning.
 
-The binary problems of one ``svm_train_many`` call (every class of every
-feature matrix, such as all schedules of a recognition grid) are
-stepped together: each coordinate step is one array step with a row per
-problem, and each epoch's bias steps are one stable row sort. Each
-problem keeps the exact arithmetic of a lone run (its own coordinate
-order, matvec, bias step, objective and convergence test), so batching
-changes no bit of a model. Column magnitudes and zero counts are taken
-once per call, and the step buffers once per epoch; a step finds its
-first valid segment by one comparison along the row (see
-``_weight_steps``).
+The binary problems of one ``svm_train_many`` call are stepped together.
+With k classes, problem p is class ``p % k`` of feature matrix ``p // k``
+(a recognition grid passes one matrix per schedule), and class j of
+matrix i draws its coordinate orders from ``stream(seeds[i], j)``. Each
+coordinate step is one array step with a row per problem, and each
+epoch's bias steps are one stable row sort. Each problem keeps the exact
+arithmetic of a lone run (its own coordinate order, matvec, bias step,
+objective and convergence test), so batching changes no bit of a model.
+Column magnitudes and zero counts are taken once per call, and the step
+buffers once per epoch; a step finds its first valid segment by one
+comparison along the row (see ``_weight_steps``).
 
 Prediction takes the argmax of the per-class raw scores with the lowest
 class index breaking ties. Evaluation reports mean per-class accuracy and
@@ -36,6 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .container import number, numbers
 from .streams import stream
 
 SVM_EPOCHS = 200
@@ -53,6 +55,16 @@ class LinearModel:
     objective_trace: np.ndarray = field(default_factory=lambda: np.empty(0))
 
 
+@dataclass
+class OneVsAllClassifier:
+    classes: np.ndarray
+    models: list[LinearModel]
+
+    @property
+    def dim(self) -> int:
+        return self.models[0].w.size
+
+
 def _objective(w: np.ndarray, margins: np.ndarray, c: float) -> float:
     return 0.5 * float(w @ w) + c * float(np.sum(np.maximum(0.0, 1.0 - margins)))
 
@@ -68,11 +80,11 @@ def _step_buffers(rows: int, n: int) -> tuple[np.ndarray, ...]:
 
 
 def _weight_steps(
-    w_j: np.ndarray, coef: np.ndarray, size: np.ndarray, r: np.ndarray, c: np.ndarray,
+    w_j: np.ndarray, coef: np.ndarray, size: np.ndarray, r: np.ndarray, c: float,
     s_first: np.ndarray, real: np.ndarray | None, buffers: tuple[np.ndarray, ...],
 ) -> np.ndarray:
     """Per row p, the exact minimizer over delta of
-    (1/2)(w_j[p] + delta)^2 + c[p] sum_i max(0, r[p, i] - delta*coef[p, i]).
+    (1/2)(w_j[p] + delta)^2 + c sum_i max(0, r[p, i] - delta*coef[p, i]).
 
     ``size`` is ``|coef|`` and ``c`` is positive. ``real`` is None when no
     coefficient is zero, else each row's count of nonzero ones: a zero
@@ -111,7 +123,7 @@ def _weight_steps(
     # C times the sum of active coefficients left of every breakpoint, then after each
     size.take(order).cumsum(axis=1, out=drops[:, 1:])
     scaled = np.subtract(s_first[:, None], drops)
-    scaled *= c[:, None]
+    scaled *= c
     # zero of the linear derivative on each open segment. Along a row the
     # candidates fl(C S_k) - w do not increase (each level S_k subtracts a
     # running sum of magnitudes, C > 0 and rounding is monotone) and the ends
@@ -136,7 +148,7 @@ def _weight_steps(
     return delta if real is None else np.where(real == 0, -w_j, delta)
 
 
-def _exact_bias_step(y: np.ndarray, r: np.ndarray, c: np.ndarray) -> np.ndarray:
+def _exact_bias_step(y: np.ndarray, r: np.ndarray, c: float) -> np.ndarray:
     """Per row p, the exact minimizer over delta of sum max(0, r[p] - delta*y[p]),
     which is piecewise linear."""
     rows, n = y.shape
@@ -148,7 +160,7 @@ def _exact_bias_step(y: np.ndarray, r: np.ndarray, c: np.ndarray) -> np.ndarray:
     # last is -(number of negative labels) <= 0, so with C > 0 the last
     # breakpoint always hits (-0.0 >= 0 included).
     s_levels = (y > 0).sum(axis=1)[:, None] - np.arange(1.0, n + 1)
-    hit = -c[:, None] * s_levels >= 0.0
+    hit = -c * s_levels >= 0.0
     return breaks[np.arange(rows), hit.argmax(axis=1)]
 
 
@@ -156,118 +168,12 @@ def _exact_bias_step(y: np.ndarray, r: np.ndarray, c: np.ndarray) -> np.ndarray:
 _GATHER = 4
 
 
-def _descend(
-    xs: list[np.ndarray],
-    source: np.ndarray,
-    ys: np.ndarray,
-    cs: list[float],
-    seeds: list,
-    epochs: int,
-    tol: float,
-) -> list[LinearModel]:
-    """Exact cyclic coordinate descent on P binary problems of one shape at once.
-
-    Problem p trains on ``xs[source[p]]`` with labels ``ys[p]`` (+-1) and
-    cost ``cs[p]``. It draws its coordinate order per epoch from
-    ``stream(seeds[p])``, and keeps its own matvec, objective and
-    convergence test, after which it leaves the active set; the weight
-    steps, and each epoch's bias steps, are taken together, one row per
-    active problem.
-    """
-    n, dim = xs[0].shape
-    count = len(seeds)
-    xts = np.stack([x.T for x in xs])
-    # row s * dim + j is column j of source s, contiguous. Labels are +-1, so
-    # |y * column| is |column| exactly
-    columns = xts.reshape(-1, n)
-    sizes = np.abs(columns)
-    zeros = (columns == 0.0).sum(axis=1)
-    c_all = np.asarray(cs, dtype=float)
-    # per problem and column, the sum of positive coefficients as one vector sum
-    s_first = np.array(
-        [[col[col > 0].sum() for col in ys[p] * xts[source[p]]] for p in range(count)]
-    ).reshape(count, dim)
-    w = np.zeros((count, dim))
-    b = np.zeros(count)
-    rngs = [stream(seed) for seed in seeds]
-    traces = [[_objective(w[p], np.zeros(n), cs[p])] for p in range(count)]
-    active = list(range(count))
-    for _ in range(epochs):
-        if not active:
-            break
-        at = np.asarray(active)
-        y, c = ys[at], c_all[at]
-        # kill incremental drift once per epoch
-        margins = np.stack([ys[p] * (xs[source[p]] @ w[p] + b[p]) for p in active])
-        perms = np.stack([rngs[p].permutation(dim) for p in active])
-        # step-major: row t holds what each problem's step t visits
-        visits = (at[:, None], perms)
-        weights, firsts = w[visits].T.copy(), s_first[visits].T.copy()
-        column = (perms + (source[at] * dim)[:, None]).T.copy()
-        real = n - zeros.take(column)
-        padded = (real < n).any(axis=1).tolist()
-        buffers = _step_buffers(at.size, n)
-        r = np.empty_like(margins)
-        for t in range(dim):
-            k = t % _GATHER
-            if k == 0:
-                block = column[t : t + _GATHER]
-                coefs, magnitudes = y * columns.take(block, axis=0), sizes.take(block, axis=0)
-            np.subtract(1.0, margins, out=r)
-            real_t = real[t] if padded[t] else None
-            delta = _weight_steps(weights[t], coefs[k], magnitudes[k], r, c, firsts[t], real_t, buffers)
-            # unconditional updates: a zero delta keeps w_j (no weight is ever
-            # -0.0) and flips at most the sign of a zero margin, which only
-            # ever enters as 1 - margin or as the base of an update
-            weights[t] += delta
-            margins += delta[:, None] * coefs[k]
-        w[visits] = weights.T
-        # the same holds for b, which starts at +0.0
-        delta = _exact_bias_step(y, 1.0 - margins, c)
-        b[at] += delta
-        margins += delta[:, None] * y
-        still = []
-        for row, p in enumerate(active):
-            prev = traces[p][-1]
-            current = _objective(w[p], margins[row], cs[p])
-            traces[p].append(current)
-            if abs(prev - current) > tol * max(1.0, abs(prev)):
-                still.append(p)
-        active = still
-    return [
-        LinearModel(
-            w=w[p].copy(),
-            b=float(b[p]),
-            c=cs[p],
-            epochs_run=len(traces[p]) - 1,
-            objective=traces[p][-1],
-            objective_trace=np.asarray(traces[p]),
-        )
-        for p in range(count)
-    ]
-
-
-@dataclass
-class OneVsAllClassifier:
-    classes: np.ndarray
-    models: list[LinearModel]
-
-    @property
-    def dim(self) -> int:
-        return self.models[0].w.size
-
-
-def svm_train_many(
-    xs, labels, c: float, seeds, epochs: int = SVM_EPOCHS, tol: float = SVM_TOL
-) -> list[OneVsAllClassifier]:
+def svm_train_many(xs, labels, c: float, seeds) -> list[OneVsAllClassifier]:
     """One one-vs-all classifier per feature matrix of ``xs``, all of one
-    shape and trained against the same ``labels`` at the same ``c``.
-    ``seeds[i]`` (an int or a tuple) keys matrix i: its class j draws its
-    coordinate orders from the stream of ``seeds[i]`` extended by ``j``.
-    A recognition grid passes one matrix per schedule, ``train`` one.
-
-    The binary problems of every matrix are stepped together, and each
-    classifier equals the one the same matrix and seed give alone.
+    shape and trained against the same ``labels`` at the same ``c``, with
+    ``seeds[i]`` (an int or a tuple) keying matrix i. Each classifier
+    equals the one the same matrix and seed give alone. ``SVM_EPOCHS`` and
+    ``SVM_TOL`` are read at each call.
     """
     xs = [np.asarray(x, dtype=float) for x in xs]
     if any(not np.isfinite(x).all() for x in xs):
@@ -286,16 +192,74 @@ def svm_train_many(
         raise ValueError("need at least 2 classes to train")
     k = classes.size
     ys = np.where(labels == classes[:, None], 1.0, -1.0)
-    bases = [seed if isinstance(seed, tuple) else (seed,) for seed in seeds]
-    models = _descend(
-        xs,
-        np.repeat(np.arange(len(xs)), k),
-        np.tile(ys, (len(xs), 1)),
-        [c] * (len(xs) * k),
-        [(*base, idx) for base in bases for idx in range(k)],
-        epochs,
-        tol,
-    )
+    n, dim = xs[0].shape
+    count = len(xs) * k
+    xts = np.stack([x.T for x in xs])
+    # row i * dim + j is column j of matrix i, contiguous. Labels are +-1, so
+    # |y * column| is |column| exactly
+    columns = xts.reshape(-1, n)
+    sizes = np.abs(columns)
+    zeros = (columns == 0.0).sum(axis=1)
+    # per problem and column, the sum of positive coefficients as one vector sum
+    s_first = np.array([[col[col > 0].sum() for col in y * xt] for xt in xts for y in ys])
+    w = np.zeros((count, dim))
+    b = np.zeros(count)
+    rngs = [stream(seed, j) for seed in seeds for j in range(k)]
+    traces = [[_objective(w[p], np.zeros(n), c)] for p in range(count)]
+    active = list(range(count))
+    for _ in range(SVM_EPOCHS):
+        if not active:
+            break
+        at = np.asarray(active)
+        y = ys[at % k]
+        # kill incremental drift once per epoch
+        margins = y * np.stack([xs[p // k] @ w[p] + b[p] for p in active])
+        perms = np.stack([rngs[p].permutation(dim) for p in active])
+        # step-major: row t holds what each problem's step t visits
+        visits = (at[:, None], perms)
+        weights, firsts = w[visits].T.copy(), s_first[visits].T.copy()
+        column = (perms + (at // k * dim)[:, None]).T.copy()
+        real = n - zeros.take(column)
+        padded = (real < n).any(axis=1).tolist()
+        buffers = _step_buffers(at.size, n)
+        r = np.empty_like(margins)
+        for t in range(dim):
+            g = t % _GATHER
+            if g == 0:
+                block = column[t : t + _GATHER]
+                coefs, magnitudes = y * columns.take(block, axis=0), sizes.take(block, axis=0)
+            np.subtract(1.0, margins, out=r)
+            real_t = real[t] if padded[t] else None
+            delta = _weight_steps(weights[t], coefs[g], magnitudes[g], r, c, firsts[t], real_t, buffers)
+            # unconditional updates: a zero delta keeps w_j (no weight is ever
+            # -0.0) and flips at most the sign of a zero margin, which only
+            # ever enters as 1 - margin or as the base of an update
+            weights[t] += delta
+            margins += delta[:, None] * coefs[g]
+        w[visits] = weights.T
+        # the same holds for b, which starts at +0.0
+        delta = _exact_bias_step(y, 1.0 - margins, c)
+        b[at] += delta
+        margins += delta[:, None] * y
+        still = []
+        for row, p in enumerate(active):
+            prev = traces[p][-1]
+            current = _objective(w[p], margins[row], c)
+            traces[p].append(current)
+            if abs(prev - current) > SVM_TOL * max(1.0, abs(prev)):
+                still.append(p)
+        active = still
+    models = [
+        LinearModel(
+            w=w[p].copy(),
+            b=float(b[p]),
+            c=c,
+            epochs_run=len(traces[p]) - 1,
+            objective=traces[p][-1],
+            objective_trace=np.asarray(traces[p]),
+        )
+        for p in range(count)
+    ]
     return [
         OneVsAllClassifier(classes=classes, models=models[i * k : (i + 1) * k])
         for i in range(len(xs))
@@ -397,7 +361,7 @@ def load_classifier(path) -> OneVsAllClassifier:
         doc = json.loads(Path(path).read_text())
         classes = doc["classes"]
         models = [
-            LinearModel(w=np.asarray(m["w"], dtype=float), b=float(m["b"]), c=float(m["c"]))
+            LinearModel(w=numbers(m["w"]), b=number(m["b"]), c=number(m["c"]))
             for m in doc["models"]
         ]
     except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
@@ -410,4 +374,6 @@ def load_classifier(path) -> OneVsAllClassifier:
         raise ValueError(f"{path}: {len(classes)} classes but {len(models)} models")
     if any(m.w.ndim != 1 or m.w.shape != models[0].w.shape for m in models):
         raise ValueError(f"{path}: model weights must be vectors of one length")
+    if any(m.c <= 0.0 for m in models):
+        raise ValueError(f"{path}: every model's c must be positive")
     return OneVsAllClassifier(classes=np.asarray(classes), models=models)

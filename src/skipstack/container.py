@@ -43,6 +43,26 @@ def write(path, header: dict, payload: np.ndarray) -> None:
         fh.write(np.ascontiguousarray(payload, dtype="<f4").tobytes())
 
 
+def number(value) -> float:
+    """A parsed JSON number as a float: ValueError unless it is an int or a
+    float (not a bool, nor a string) and finite."""
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise ValueError("expected a finite number")
+    return float(value)
+
+
+def numbers(value) -> np.ndarray:
+    """A regular nested list of parsed JSON numbers as a float array, each
+    leaf checked by ``number``."""
+    array = np.asarray(value, dtype=float)
+    leaves = [value]
+    for _ in range(array.ndim):
+        leaves = [leaf for item in leaves for leaf in item]
+    for leaf in leaves:
+        number(leaf)
+    return array
+
+
 def _typed(where: str, kind: str, value):
     """The header value as its format declares it; ValueError otherwise."""
     try:
@@ -51,7 +71,7 @@ def _typed(where: str, kind: str, value):
         if kind == INTS and isinstance(value, list) and all(type(v) is int for v in value):
             return np.asarray(value, dtype=np.int64)
         if kind == NUMBERS and isinstance(value, list):
-            return np.asarray(value, dtype=float)
+            return numbers(value)
     except (TypeError, ValueError, OverflowError):
         pass
     raise ValueError(f"{where} must be {kind}")

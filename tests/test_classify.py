@@ -29,9 +29,9 @@ from skipstack.streams import stream
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 
-def train(x, labels, c, seed=0, **kwargs):
+def train(x, labels, c, seed=0):
     """The classifier of one feature matrix."""
-    return svm_train_many([x], labels, c, [seed], **kwargs)[0]
+    return svm_train_many([x], labels, c, [seed])[0]
 
 
 def blobs(seed=0, n=40, gap=4.0):
@@ -180,6 +180,31 @@ class TestReferenceOracle:
         clf = train(x, y, c, seed=(4, 2))
         assert_bit_identical(clf.models, reference_models(x, y, c, (4, 2)))
 
+    def test_models_stopped_at_the_epoch_cap_match_the_one_problem_solver(self, monkeypatch):
+        monkeypatch.setattr(classify, "SVM_EPOCHS", 3)
+
+        def ways_out(models):
+            """(stopped at the cap, converged before it) for each model."""
+            for m in models:
+                prev, last = m.objective_trace[-2:]
+                yield abs(prev - last) > SVM_TOL * max(1.0, abs(prev)), m.epochs_run < 3
+
+        ways = set()
+        for make in (blobs, sparse_features, duplicated_rows):
+            x, y = make()
+            for c in (1e-3, 1.0, 100.0):
+                models = train(x, y, c, seed=(4, 2)).models
+                assert_bit_identical(models, reference_models(x, y, c, (4, 2), epochs=3))
+                ways.update(ways_out(models))
+        assert ways == {(True, False), (False, True)}
+        # and in one batch: a model leaves the active set while the rest run on to the cap
+        xs, labels, c, seeds = self.mixed_batch()
+        models = []
+        for x, seed, clf in zip(xs, seeds, svm_train_many(xs, labels, c, seeds), strict=True):
+            assert_bit_identical(clf.models, reference_models(x, labels, c, seed, epochs=3))
+            models.extend(clf.models)
+        assert set(ways_out(models)) == {(True, False), (False, True)}
+
     def test_weight_steps_match_the_one_problem_step(self):
         # edge cases: exact zeros, all-zero columns, tied breakpoints, points on the margin
         rng = np.random.default_rng(22)
@@ -199,9 +224,14 @@ class TestReferenceOracle:
         coef[1, :2], r[1, :2] = 1.0, (1.0, 2.0)
         s_first = np.array([row[row > 0].sum() for row in coef])
         real = (coef != 0.0).sum(axis=1)
-        got = _weight_steps(
-            w_j, coef, np.abs(coef), r.copy(), c, s_first, real, _step_buffers(rows, n)
-        )
+        # the kernel takes one C, so each drawn C steps its own rows
+        got = np.empty(rows)
+        for value in np.unique(c):
+            at = np.flatnonzero(c == value)
+            got[at] = _weight_steps(
+                w_j[at], coef[at], np.abs(coef[at]), r[at], value, s_first[at], real[at],
+                _step_buffers(at.size, n),
+            )
         want = [_exact_weight_step(w_j[i], coef[i], r[i], c[i]) for i in range(rows)]
         assert got.tobytes() == np.array(want).tobytes()
         assert got[:2].tolist() == [12.0, 2.0]
@@ -241,7 +271,7 @@ class TestReferenceOracle:
         no breakpoint hits; its last slope level, -(number of negative
         labels), always hits. It must still equal the oracle bit for bit."""
         y, r = (np.array(column) for column in zip(*pairs))
-        [got] = classify._exact_bias_step(y[None], r[None], np.array([c]))
+        [got] = classify._exact_bias_step(y[None], r[None], c)
         want = _exact_bias_step(y, r, c)
         assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
@@ -365,13 +395,15 @@ class TestTraining:
         with pytest.raises(ValueError, match="finite"):
             train(x, [0, 0, 1, 1], 1.0)
 
-    def test_matches_reference_solver(self):
+    def test_matches_reference_solver(self, monkeypatch):
         cvxpy = pytest.importorskip("cvxpy")
+        monkeypatch.setattr(classify, "SVM_EPOCHS", 500)
+        monkeypatch.setattr(classify, "SVM_TOL", 1e-12)
         rng = np.random.default_rng(7)
         x = rng.normal(size=(40, 5))
         y = np.where(rng.random(40) < 0.5, 1.0, -1.0)
         c = 1.0
-        clf = train(x, np.where(y > 0, 1, 0), c=c, epochs=500, tol=1e-12, seed=7)
+        clf = train(x, np.where(y > 0, 1, 0), c=c, seed=7)
         model = clf.models[1]  # the binary problem for label 1 is y itself
         w = cvxpy.Variable(5)
         b = cvxpy.Variable()

@@ -421,9 +421,17 @@ class TestDataVerbs:
             ({"classes": ["a"], "models": [{"w": [1.0], "b": 0, "c": 1}]}, "integer labels"),
             ({"classes": [0, 1], "models": [{"w": [1.0], "b": 0, "c": 1}, {"w": [1.0, 2.0], "b": 0, "c": 1}]}, "one length"),
             ({"classes": [0, 0, 1], "models": [{"w": [1.0], "b": 0, "c": 1}] * 3}, "must not repeat"),
+            # the trained classifier with one mistyped number in its first model
+            pytest.param(lambda m: m.update(w=[str(v) for v in m["w"]]), "not a classifier", id="w-strings"),
+            pytest.param(lambda m: m.update(b="0.2"), "not a classifier", id="b-string"),
+            pytest.param(lambda m: m.update(b=True), "not a classifier", id="b-bool"),
+            pytest.param(lambda m: m.update(c=-5), "c must be positive", id="c-negative"),
         ],
     )
     def test_malformed_classifier_exit_2(self, chain, tmp_path, capsys, document, message):
+        if callable(document):
+            mangle, document = document, json.loads((chain / "classifier.json").read_text())
+            mangle(document["models"][0])
         bad = tmp_path / "classifier.json"
         bad.write_text(json.dumps(document))
         code = run(

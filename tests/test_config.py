@@ -11,8 +11,10 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from skipstack.classify import SVM_EPOCHS, SVM_TOL
 from skipstack.config import ExperimentConfig, config_hash, load_config, schedule_of
-from skipstack.dataset import generate_dataset
+from skipstack.dataset import MAX_TEMPLATE_CORRELATION, generate_dataset
+from skipstack.encoder import EM_MAX_ITERS, EM_TOL
 from skipstack.latent import new_model
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -228,3 +230,18 @@ class TestReadme:
         bullets = " ".join(itertools.takewhile(str.strip, section[first:]))
         named = set(re.findall(r"`([a-z][a-z0-9_]*)`", bullets))
         assert named == {f.name for f in dataclasses.fields(ExperimentConfig)} - {"seed"}
+
+    def test_readme_module_constants_match_the_code(self):
+        """README's sentence on the limits that are module constants, not
+        config fields, gives their values."""
+        text = " ".join(README.read_text().split())
+        found = re.search(
+            r"EM \((\S+) iterations, tolerance (\S+)\), the SVM \((\S+) epochs, tolerance (\S+)\)"
+            r" and the template decorrelation threshold \((\S+)\) are module constants",
+            text,
+        )
+        assert found is not None
+        em_iters, em_tol, svm_epochs, svm_tol, threshold = map(float, found.groups())
+        assert (em_iters, em_tol) == (EM_MAX_ITERS, EM_TOL)
+        assert (svm_epochs, svm_tol) == (SVM_EPOCHS, SVM_TOL)
+        assert threshold == MAX_TEMPLATE_CORRELATION

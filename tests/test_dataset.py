@@ -214,6 +214,7 @@ class TestPersistence:
             (lambda h: h.update(frames="64"), "'frames' must be a positive integer"),
             (lambda h: h.update(labels=[0.5] * len(h["labels"])), "'labels' must be a list"),
             (lambda h: h.update(coeffs="none"), "'coeffs' must be a nested list"),
+            (lambda h: h.update(coeffs=[["1.5", True]]), "'coeffs' must be a nested list of numbers"),
             (lambda h: h["test_idx"].append(999), "test_idx must lie in"),
             (lambda h: h["train_idx"].__setitem__(0, -1), "train_idx must lie in"),
         ],
