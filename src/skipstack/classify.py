@@ -329,7 +329,7 @@ def evaluate(clf: OneVsAllClassifier, x: np.ndarray, labels) -> EvalReport:
         mask = labels == cls
         support = int(mask.sum())
         if support == 0:
-            warnings.warn(f"class {cls!r} absent from the test set; excluded from means")
+            warnings.warn(f"class {cls} absent from the test set; excluded from means")
             continue
         accuracy = 100.0 * float(np.mean(predicted[mask] == cls))
         ap = 100.0 * _average_precision(scores[:, i], mask)

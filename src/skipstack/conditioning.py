@@ -294,11 +294,21 @@ def binomial_tail_probability(successes: int, trials: int, rate: float) -> float
     """P(X <= successes) for X ~ Binomial(trials, rate).
 
     Used to test observed coverage against a target rate: a tiny tail
-    probability means the observed success count is implausibly low.
+    probability means the observed success count is implausibly low. The
+    terms are summed in log space, scaled by the largest, so thousands of
+    trials overflow no binomial coefficient; rates 0 and 1 are exact.
     """
     if not 0 <= successes <= trials:
         raise ValueError("successes must lie in [0, trials]")
-    total = 0.0
-    for i in range(successes + 1):
-        total += math.comb(trials, i) * rate**i * (1.0 - rate) ** (trials - i)
-    return min(total, 1.0)
+    if rate == 0.0 or successes == trials:
+        return 1.0
+    if rate == 1.0:
+        return 0.0
+    log_rate, log_miss = math.log(rate), math.log1p(-rate)
+    log_n = math.lgamma(trials + 1)
+    logs = [
+        log_n - math.lgamma(i + 1) - math.lgamma(trials - i + 1) + i * log_rate + (trials - i) * log_miss
+        for i in range(successes + 1)
+    ]
+    top = max(logs)
+    return min(math.exp(top) * math.fsum(math.exp(term - top) for term in logs), 1.0)

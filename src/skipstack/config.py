@@ -54,9 +54,8 @@ class ExperimentConfig:
     frames: int = 96
     levels: int = 3
     exclude: tuple[int, ...] = ()
-    # descriptor/codec parameters; pca_components 0 keeps ceil(D/2)
+    # descriptor/codec parameters
     window: int = 6
-    pca_components: int = 0
     gmm_components: int = 8
     train_budget: int = 20000
     # classifier
@@ -100,7 +99,6 @@ class ExperimentConfig:
             ),
             (len(set(self.exclude)) == len(self.exclude), "exclude entries must not repeat"),
             (self.window >= 1, f"window must be >= 1, got {self.window}"),
-            (self.pca_components >= 0, f"pca_components must be >= 0, got {self.pca_components}"),
             (self.gmm_components >= 1, f"gmm_components must be >= 1, got {self.gmm_components}"),
             (self.train_budget >= 10 * self.gmm_components, "train_budget must be >= 10 * gmm_components"),
             (self.svm_c > 0, f"svm_c must be > 0, got {self.svm_c}"),

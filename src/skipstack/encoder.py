@@ -27,7 +27,6 @@ import numpy as np
 from numpy.linalg import lapack_lite
 
 from .config import ExperimentConfig
-from .features import SeriesDescriptorSet
 
 EM_MAX_ITERS = 100
 EM_TOL = 1e-6
@@ -102,17 +101,16 @@ def _householder_r(data: np.ndarray) -> np.ndarray:
     return np.triu(data[:d])
 
 
-def pca_fit(data: np.ndarray, n_components: int = 0) -> PcaTransform:
-    """Centered projection onto the top principal components.
+def pca_fit(data: np.ndarray) -> PcaTransform:
+    """Centered projection onto the top ceil(D/2) principal components.
 
-    ``n_components`` 0 keeps the default ceil(D/2), halving the dimension
-    like the reference pipeline. The fit consumes ``data``, a writable
-    column-major float64 array: it is centered and QR-factored in place,
-    so a caller that owns a large pool holds one copy of it and the fit
-    makes no other. Afterwards ``data`` holds the factorization, not the
-    data. The transform is that of the row-major data bit for bit: the
-    mean is summed in row order, and R is numpy's QR's. Pass a copy to
-    keep the original.
+    Halving the dimension follows the reference pipeline. The fit consumes
+    ``data``, a writable column-major float64 array: it is centered and
+    QR-factored in place, so a caller that owns a large pool holds one
+    copy of it and the fit makes no other. Afterwards ``data`` holds the
+    factorization, not the data. The transform is that of the row-major
+    data bit for bit: the mean is summed in row order, and R is numpy's
+    QR's. Pass a copy to keep the original.
     """
     if not (
         isinstance(data, np.ndarray)
@@ -126,8 +124,6 @@ def pca_fit(data: np.ndarray, n_components: int = 0) -> PcaTransform:
     n, d = data.shape
     if n <= d:
         raise ValueError(f"need more samples than dimensions to fit, got N={n}, D={d}")
-    if not 0 <= n_components <= d:
-        raise ValueError(f"n_components must lie in [0, {d}], got {n_components}")
     mean = _row_order_mean(data)
     data -= mean
     # Right singular vectors of the centered data = covariance eigenvectors.
@@ -135,7 +131,7 @@ def pca_fit(data: np.ndarray, n_components: int = 0) -> PcaTransform:
     # factor is formed. LAPACK's dgesdd runs this same QR first whenever
     # N >= 11D/6, so on tall data the bits are those of the direct SVD.
     _, svals, vt = np.linalg.svd(_householder_r(data), full_matrices=False)
-    keep = n_components if n_components else (d + 1) // 2
+    keep = (d + 1) // 2
     components = vt[:keep]
     # make each component's largest-magnitude entry positive so the fit is
     # a pure function of the data
@@ -355,55 +351,54 @@ class FisherCodec:
         return 2 * self.gmm.k * self.gmm.means.shape[1]
 
 
-def augment(pca: PcaTransform, ds: SeriesDescriptorSet) -> np.ndarray:
+def augment(pca: PcaTransform, descriptors: np.ndarray, locations: np.ndarray) -> np.ndarray:
     """A sample's PCA-reduced descriptors with their locations as a last
     column: the rows its Fisher encoding reads."""
-    reduced = pca_apply(pca, ds.descriptors)
-    return np.hstack([reduced, ds.locations[:, None]])
+    return np.hstack([pca_apply(pca, descriptors), locations[:, None]])
 
 
 def fit_codec(
-    extract: Callable[[int], SeriesDescriptorSet],
+    extract: Callable[[int], np.ndarray],
     idx: Sequence[int],
+    locations: np.ndarray,
     config: ExperimentConfig,
     rng: np.random.Generator,
 ) -> tuple[FisherCodec, np.ndarray]:
     """Fit PCA on the pooled descriptors and a GMM on the reduced pool.
 
-    ``extract(i)`` makes the descriptor set of sample i; the sets of the
-    split ``idx`` all have the same shape. Each is made twice. The first
-    pass copies each set into one column-major pool as it is made, so the
-    split is never held beside the pool; the PCA fit factors that pool in
-    place and consumes it. The second pass augments each set into its
-    block of the reduced pool. A set of another shape than the first
-    raises ValueError. At most ``config.train_budget`` reduced rows
-    (sampled without replacement) train the mixture. The location
-    coordinate joins after PCA, so the mixture models motion content plus
-    position.
+    ``extract(i)`` makes the descriptor matrix of sample i, one row per
+    entry of ``locations``, and each is made twice. The first pass copies
+    each matrix into one column-major pool as it is made, so the split is
+    never held beside the pool; the PCA fit factors that pool in place and
+    consumes it. The second pass augments each into its block of the
+    reduced pool. A matrix that is not (locations.size, D), D the first's
+    width, raises ValueError. At most ``config.train_budget`` reduced rows
+    (sampled without replacement) train the mixture. The location joins
+    after PCA, so the mixture models motion content plus position.
 
-    Returns the codec and the augmented reduced pool: with r rows per set,
-    rows k*r to (k+1)*r - 1 are ``augment(codec.pca, extract(idx[k]))``.
+    Returns the codec and the augmented reduced pool: with r = locations.size,
+    rows k*r to (k+1)*r - 1 are ``augment(codec.pca, extract(idx[k]), locations)``.
     """
+    rows = locations.size
     pool = None
     for k, i in enumerate(idx):
-        ds = extract(i)
+        descriptors = extract(i)
         if pool is None:
-            shape = rows, d = ds.descriptors.shape
-            pool = np.empty((len(idx) * rows, d), order="F")
-        elif ds.descriptors.shape != shape:
+            pool = np.empty((len(idx) * rows, descriptors.shape[1]), order="F")
+        if descriptors.shape != (rows, pool.shape[1]):
             raise ValueError(
-                f"descriptor set {k} is {ds.descriptors.shape}, not {shape}: "
-                f"every set of a split has the same shape"
+                f"descriptor set {k} is {descriptors.shape}, not {(rows, pool.shape[1])}: "
+                f"every set of a split has one row per location"
             )
-        pool[k * rows : (k + 1) * rows] = ds.descriptors
+        pool[k * rows : (k + 1) * rows] = descriptors
     if pool is None or pool.shape[0] == 0:
         raise ValueError("no descriptors to fit on")
-    pca = pca_fit(pool, config.pca_components)
+    pca = pca_fit(pool)
     # the fit left its QR factorization in the pool
     del pool
     reduced = np.empty((len(idx) * rows, pca.projection.shape[1] + 1))
     for k, i in enumerate(idx):
-        reduced[k * rows : (k + 1) * rows] = augment(pca, extract(i))
+        reduced[k * rows : (k + 1) * rows] = augment(pca, extract(i), locations)
     fit_rows = reduced
     if reduced.shape[0] > config.train_budget:
         pick = rng.choice(reduced.shape[0], size=config.train_budget, replace=False)

@@ -12,6 +12,7 @@ stack, one level or several, for the theory verbs and the coverage harness.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -96,16 +97,6 @@ class FeatureMatrix:
     f: np.ndarray | None
 
 
-@dataclass
-class SeriesDescriptorSet:
-    """Windowed difference descriptors of a real series (N x D) with the
-    window centers as normalized temporal locations."""
-
-    descriptors: np.ndarray
-    locations: np.ndarray
-    level_of_row: np.ndarray
-
-
 def mifs_stack(
     model: LatentModel,
     schedule: SkipSchedule,
@@ -143,42 +134,42 @@ def mifs_stack(
     return FeatureMatrix(p=p, f=f)
 
 
-def extract_series_descriptors(
-    series: np.ndarray,
-    schedule: SkipSchedule,
-    window: int,
-) -> SeriesDescriptorSet:
-    """Windowed frame-difference descriptors at every included level.
-
-    Level l reads every (l+1)-th frame of the series, takes consecutive
-    differences and slides a length-``window`` window over them; each
-    descriptor is the concatenation of the differences in its window
-    (dimension window * channels) located at the window center, normalized
-    within the subsampled sequence.
-    """
-    series = np.asarray(series, dtype=float)
-    if series.ndim == 1:
-        series = series[:, None]
-    frames, channels = series.shape
+def _level_layout(frames: int, schedule: SkipSchedule, window: int) -> Iterator[tuple[int, int, int]]:
+    """(level, differences, windows) of each included level of a series of
+    ``frames`` frames, where level l reads ceil(frames / (l+1)) frames."""
     if frames < (schedule.levels + 1) * window + 1:
         raise ValueError(
             f"series of {frames} frames is shorter than one window at the "
             f"deepest level (needs {(schedule.levels + 1) * window + 1})"
         )
-    desc_blocks, loc_blocks, level_blocks = [], [], []
     for level in schedule.included_levels:
-        sub = series[:: level + 1]
-        diffs = np.diff(sub, axis=0)
-        n_windows = diffs.shape[0] - window + 1
+        n_diffs = -(-frames // (level + 1)) - 1
+        yield level, n_diffs, n_diffs - window + 1
+
+
+def extract_series_descriptors(series: np.ndarray, schedule: SkipSchedule, window: int) -> np.ndarray:
+    """Windowed frame-difference descriptors at every included level (N x D).
+
+    Level l reads every (l+1)-th frame of the series, takes consecutive
+    differences and slides a length-``window`` window over them; each
+    descriptor is the concatenation of the differences in its window
+    (dimension window * channels). The levels' rows follow in schedule
+    order, as ``descriptor_locations`` lays them out.
+    """
+    series = np.asarray(series, dtype=float)
+    blocks = []
+    for level, _, n_windows in _level_layout(len(series), schedule, window):
+        diffs = np.diff(series[:: level + 1], axis=0)
         idx = np.arange(n_windows)[:, None] + np.arange(window)[None, :]
-        desc_blocks.append(diffs[idx].reshape(n_windows, window * channels))
-        loc_blocks.append((np.arange(n_windows) + window / 2.0) / diffs.shape[0])
-        level_blocks.append(np.full(n_windows, level))
-    return SeriesDescriptorSet(
-        descriptors=np.concatenate(desc_blocks, axis=0),
-        locations=np.concatenate(loc_blocks),
-        level_of_row=np.concatenate(level_blocks),
-    )
+        blocks.append(diffs[idx].reshape(n_windows, -1))
+    return np.concatenate(blocks, axis=0)
+
+
+def descriptor_locations(frames: int, schedule: SkipSchedule, window: int) -> np.ndarray:
+    """Each descriptor row's window center, normalized within its level's
+    differences: the same for every series of ``frames`` frames."""
+    layout = _level_layout(frames, schedule, window)
+    return np.concatenate([(np.arange(n_windows) + window / 2.0) / n_diffs for _, n_diffs, n_windows in layout])
 
 
 @dataclass(frozen=True)

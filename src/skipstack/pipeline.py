@@ -19,7 +19,7 @@ from .classify import EvalReport, evaluate, svm_train_many
 from .config import ExperimentConfig, schedule_of
 from .dataset import SyntheticActionDataset
 from .encoder import FisherCodec, augment, encode_sample, fit_codec
-from .features import SkipSchedule, extract_series_descriptors, level_cost_report
+from .features import SkipSchedule, descriptor_locations, extract_series_descriptors, level_cost_report
 from .streams import stream
 
 
@@ -52,14 +52,15 @@ def encode(
     def extract(i):
         return extract_series_descriptors(dataset.series[i], schedule, config.window)
 
-    codec, reduced = fit_codec(extract, dataset.train_idx, config, rng=rng)
+    locations = descriptor_locations(dataset.frames, schedule, config.window)
+    codec, reduced = fit_codec(extract, dataset.train_idx, locations, config, rng=rng)
     encodings = np.empty((len(dataset.series), codec.encoding_dim))
     for i, rows in zip(dataset.train_idx, np.split(reduced, len(dataset.train_idx))):
         encodings[i] = encode_sample(codec, rows)
     # the last block is a view that keeps the whole pool alive
     del reduced, rows
     for i in dataset.test_idx:
-        encodings[i] = encode_sample(codec, augment(codec.pca, extract(i)))
+        encodings[i] = encode_sample(codec, augment(codec.pca, extract(i), locations))
     return codec, encodings
 
 

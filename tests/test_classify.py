@@ -489,7 +489,7 @@ class TestEvaluate:
         y = np.repeat([0, 1, 2], 20)
         clf = train(x, y, 1.0, seed=13)
         keep = y != 2
-        with pytest.warns(UserWarning, match="absent"):
+        with pytest.warns(UserWarning, match="class 2 absent"):
             report = evaluate(clf, x[keep], y[keep])
         assert len(report.per_class) == 2
 

@@ -463,6 +463,14 @@ class TestTrainVerb:
         assert "unknown config fields: cv_folds" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("verb", ["cost-report", "encode"])
+    def test_pca_components_is_an_unknown_field(self, tmp_path, capsys, verb):
+        """PCA always keeps ceil(D/2) components, so no config sets a width."""
+        out = tmp_path / "out"
+        assert run(write_config(tmp_path, pca_components=50), out, verb) == 2
+        assert "unknown config fields: pca_components" in capsys.readouterr().err
+        assert not out.exists()
+
 
 # each latent-model fact with its message; the config checks them at load
 MODEL_FACTS = [

@@ -4,6 +4,7 @@ import json
 import math
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -341,6 +342,19 @@ class TestBinomialTail:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             binomial_tail_probability(11, 10, 0.5)
+
+    @pytest.mark.parametrize("successes, trials", [(950, 1030), (180, 200), (2700, 3000), (2900, 3000)])
+    def test_thousands_of_trials_match_the_exact_sum(self, successes, trials):
+        """Summed in log space, the tail matches the exact rational sum at
+        1,030 and 3,000 trials, where a float binomial coefficient
+        overflows."""
+        exact = Fraction(sum(math.comb(trials, i) * 9**i for i in range(successes + 1)), 10**trials)
+        assert binomial_tail_probability(successes, trials, 0.9) == pytest.approx(float(exact), rel=1e-10)
+
+    def test_rates_zero_and_one_are_exact(self):
+        assert binomial_tail_probability(0, 3000, 0.0) == 1.0
+        assert binomial_tail_probability(2999, 3000, 1.0) == 0.0
+        assert binomial_tail_probability(3000, 3000, 1.0) == 1.0
 
 
 def _traced_peak(fn) -> int:

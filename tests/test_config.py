@@ -77,7 +77,7 @@ class TestValidation:
             (dict(base_tau=-0.1), "base_tau"),
             (dict(gmm_components=0), "gmm_components"),
             (dict(gmm_components=4, train_budget=39), "train_budget"),
-            (dict(pca_components=-1), "pca_components"),
+            (dict(channels=0), "channels must be >= 1, got 0"),
             (dict(window=0), "window"),
             (dict(svm_c=0.0), "svm_c"),
             (dict(levels=0, exclude=(0,)), "keep at least one level"),

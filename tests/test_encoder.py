@@ -28,7 +28,7 @@ from skipstack.encoder import (
     power_normalize,
     save_codec,
 )
-from skipstack.features import SeriesDescriptorSet, SkipSchedule, extract_series_descriptors
+from skipstack.features import SkipSchedule, descriptor_locations, extract_series_descriptors
 from skipstack.streams import stream
 
 
@@ -156,6 +156,10 @@ def toy_descriptor_sets(n_sets=6, frames=64, channels=3, seed=0):
     ]
 
 
+# the location column every toy set shares
+TOY_LOCATIONS = descriptor_locations(64, SkipSchedule(1.0 / 64, 1), window=4)
+
+
 class TestPca:
     def test_low_rank_data_reconstructs_exactly(self):
         rng = np.random.default_rng(0)
@@ -182,12 +186,11 @@ class TestPca:
         t = pca_fit(np.asfortranarray(data))
         assert np.array_equal(pca_apply(t, data), pca_apply(t, data))
 
-    def test_explicit_component_count(self):
-        data = np.asfortranarray(np.random.default_rng(6).normal(size=(80, 9)))
-        t = pca_fit(data, n_components=3)
-        assert t.projection.shape == (9, 3)
-        with pytest.raises(ValueError, match="n_components"):
-            pca_fit(data, n_components=10)
+    def test_keeps_half_the_dimension_rounded_up(self):
+        for d in (1, 2, 9, 10):
+            t = pca_fit(np.asfortranarray(np.random.default_rng(6).normal(size=(80, d))))
+            assert t.projection.shape == (d, -(-d // 2))
+            assert t.explained_ratio.shape == (-(-d // 2),)
 
     def test_fit_requires_more_samples_than_dims(self):
         with pytest.raises(ValueError, match="more samples"):
@@ -584,40 +587,35 @@ class TestNormalization:
 class TestCodec:
     def test_encoding_dimension(self):
         sets = toy_descriptor_sets()
-        codec, _ = fit_codec(sets.__getitem__, range(len(sets)), CODEC_CONFIG, rng=stream(13))
-        d_raw = sets[0].descriptors.shape[1]
+        codec, _ = fit_codec(sets.__getitem__, range(len(sets)), TOY_LOCATIONS, CODEC_CONFIG, rng=stream(13))
+        d_raw = sets[0].shape[1]
         d_reduced = (d_raw + 1) // 2
         assert codec.encoding_dim == 2 * 4 * (d_reduced + 1)
-        e = encode_sample(codec, augment(codec.pca, sets[0]))
+        e = encode_sample(codec, augment(codec.pca, sets[0], TOY_LOCATIONS))
         assert e.size == codec.encoding_dim
         assert np.linalg.norm(e) == pytest.approx(1.0, abs=1e-10)
 
     def test_identical_descriptors_identical_encodings(self):
         sets = toy_descriptor_sets()
-        codec, _ = fit_codec(sets.__getitem__, range(len(sets)), CODEC_CONFIG, rng=stream(14))
-        a = encode_sample(codec, augment(codec.pca, sets[2]))
-        b = encode_sample(codec, augment(codec.pca, sets[2]))
+        codec, _ = fit_codec(sets.__getitem__, range(len(sets)), TOY_LOCATIONS, CODEC_CONFIG, rng=stream(14))
+        a = encode_sample(codec, augment(codec.pca, sets[2], TOY_LOCATIONS))
+        b = encode_sample(codec, augment(codec.pca, sets[2], TOY_LOCATIONS))
         assert np.array_equal(a, b)
 
     def test_reduced_pool_holds_each_sets_augmented_rows(self):
         """The pool fit_codec returns is, block by block, what augment gives
         each set, so the training samples encode from it bit for bit."""
         sets = toy_descriptor_sets()
-        codec, reduced = fit_codec(sets.__getitem__, range(len(sets)), CODEC_CONFIG, rng=stream(17))
-        assert reduced.shape[0] == sum(ds.descriptors.shape[0] for ds in sets)
+        codec, reduced = fit_codec(sets.__getitem__, range(len(sets)), TOY_LOCATIONS, CODEC_CONFIG, rng=stream(17))
+        assert reduced.shape[0] == sum(ds.shape[0] for ds in sets)
         for ds, rows in zip(sets, np.split(reduced, len(sets))):
-            assert np.array_equal(rows, augment(codec.pca, ds))
+            assert np.array_equal(rows, augment(codec.pca, ds, TOY_LOCATIONS))
 
     def test_ragged_set_rejected(self):
         sets = toy_descriptor_sets()
-        short = sets[3]
-        sets[3] = SeriesDescriptorSet(
-            descriptors=short.descriptors[:-1],
-            locations=short.locations[:-1],
-            level_of_row=short.level_of_row[:-1],
-        )
+        sets[3] = sets[3][:-1]
         with pytest.raises(ValueError, match="descriptor set 3 is"):
-            fit_codec(sets.__getitem__, range(len(sets)), CODEC_CONFIG, rng=stream(19))
+            fit_codec(sets.__getitem__, range(len(sets)), TOY_LOCATIONS, CODEC_CONFIG, rng=stream(19))
 
     def test_fit_never_calls_numpys_qr(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -625,15 +623,15 @@ class TestCodec:
 
         monkeypatch.setattr(np.linalg, "qr", refuse)
         sets = toy_descriptor_sets()
-        fit_codec(sets.__getitem__, range(len(sets)), CODEC_CONFIG, rng=stream(24))
+        fit_codec(sets.__getitem__, range(len(sets)), TOY_LOCATIONS, CODEC_CONFIG, rng=stream(24))
 
     def test_no_descriptors_rejected(self):
         with pytest.raises(ValueError, match="no descriptors"):
-            fit_codec([].__getitem__, range(0), CODEC_CONFIG, rng=stream(20))
+            fit_codec([].__getitem__, range(0), TOY_LOCATIONS, CODEC_CONFIG, rng=stream(20))
 
     def test_saved_codec_holds_the_fit_bit_for_bit(self, tmp_path):
         sets = toy_descriptor_sets()
-        codec, _ = fit_codec(sets.__getitem__, range(len(sets)), CODEC_CONFIG, rng=stream(16))
+        codec, _ = fit_codec(sets.__getitem__, range(len(sets)), TOY_LOCATIONS, CODEC_CONFIG, rng=stream(16))
         path = tmp_path / "codec.json"
         save_codec(codec, path)
         # strict JSON: a NaN or Infinity token fails the test

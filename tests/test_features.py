@@ -9,6 +9,7 @@ from skipstack import container
 from skipstack.features import (
     SkipSchedule,
     budget,
+    descriptor_locations,
     extract_series_descriptors,
     level_cost_report,
     mifs_stack,
@@ -182,20 +183,22 @@ class TestSeriesDescriptors:
     def test_constant_series_gives_zero_descriptors(self):
         series = np.ones((40, 3))
         ds = extract_series_descriptors(series, SkipSchedule(1.0 / 40, 1), window=4)
-        assert not ds.descriptors.any()
+        assert not ds.any()
 
     def test_linear_series_gives_constant_slope(self):
         k = 30
         series = np.linspace(0.0, 1.0, k)
         ds = extract_series_descriptors(series, SkipSchedule(1.0 / k, 0), window=2)
-        np.testing.assert_allclose(ds.descriptors, 1 / (k - 1), atol=1e-12)
+        np.testing.assert_allclose(ds, 1 / (k - 1), atol=1e-12)
 
     def test_descriptor_dimension_and_locations(self):
         series = np.random.default_rng(0).normal(size=(64, 2))
-        ds = extract_series_descriptors(series, SkipSchedule(1.0 / 64, 2), window=5)
-        assert ds.descriptors.shape[1] == 5 * 2
-        assert ds.locations.min() > 0 and ds.locations.max() < 1
-        assert set(ds.level_of_row) == {0, 1, 2}
+        schedule = SkipSchedule(1.0 / 64, 2)
+        ds = extract_series_descriptors(series, schedule, window=5)
+        locations = descriptor_locations(64, schedule, window=5)
+        assert ds.shape[1] == 5 * 2
+        assert locations.shape == (ds.shape[0],)
+        assert locations.min() > 0 and locations.max() < 1
 
     def test_sine_speed_match_across_levels(self):
         """Level 1 of a period-32 sine equals level 0 of a period-16 sine."""
@@ -206,7 +209,7 @@ class TestSeriesDescriptors:
         sched0 = SkipSchedule(1.0 / (k // 2), 0)
         a = extract_series_descriptors(slow, sched1, window=4)
         b = extract_series_descriptors(fast, sched0, window=4)
-        np.testing.assert_allclose(a.descriptors, b.descriptors, atol=1e-9)
+        np.testing.assert_allclose(a, b, atol=1e-9)
 
     @pytest.mark.parametrize("s", [2, 3, 4])
     def test_speed_shift_property_exact(self, s):
@@ -216,36 +219,43 @@ class TestSeriesDescriptors:
         rng = np.random.default_rng(s)
         series = rng.normal(size=(k, 2))
         compressed = series[::s]
-        deep = extract_series_descriptors(
-            series,
-            SkipSchedule(1.0 / k, s - 1, include=tuple(l == s - 1 for l in range(s))),
-            window=6,
+        deep_schedule = SkipSchedule(1.0 / k, s - 1, include=tuple(l == s - 1 for l in range(s)))
+        flat_schedule = SkipSchedule(1.0 / (k // s), 0)
+        deep = extract_series_descriptors(series, deep_schedule, window=6)
+        flat = extract_series_descriptors(compressed, flat_schedule, window=6)
+        assert np.array_equal(deep, flat)
+        assert np.array_equal(
+            descriptor_locations(k, deep_schedule, window=6),
+            descriptor_locations(k // s, flat_schedule, window=6),
         )
-        flat = extract_series_descriptors(
-            compressed, SkipSchedule(1.0 / (k // s), 0), window=6
-        )
-        assert np.array_equal(deep.descriptors, flat.descriptors)
-        assert np.array_equal(deep.locations, flat.locations)
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(data=st.data(), levels=st.integers(0, 5), window=st.integers(1, 12), channels=st.integers(1, 3))
     def test_every_included_level_yields_windows(self, data, levels, window, channels):
-        """Any series the frame check admits gives each included level
-        ceil(frames / (l+1)) - window >= 1 windows, one tag per row and
-        locations strictly inside (0, 1), at the dtypes the encoder reads."""
+        """Any series the frame check admits gives each included level, in
+        schedule order, a block of ceil(frames / (l+1)) - window >= 1 rows,
+        of descriptors and of locations alike, equal to that level
+        extracted alone, with locations strictly inside (0, 1), at the
+        dtype the encoder reads."""
         include = data.draw(st.lists(st.booleans(), min_size=levels + 1, max_size=levels + 1).filter(any))
         frames = (levels + 1) * window + 1 + data.draw(st.integers(0, 40))
         series = np.random.default_rng(frames).normal(size=(frames, channels))
         schedule = SkipSchedule(1.0 / frames, levels, include=tuple(include))
         ds = extract_series_descriptors(series, schedule, window)
-        counts = [int(np.sum(ds.level_of_row == l)) for l in range(levels + 1)]
-        assert counts == [-(-frames // (l + 1)) - window if keep else 0 for l, keep in enumerate(include)]
-        assert min(counts[l] for l in schedule.included_levels) >= 1
-        assert ds.descriptors.shape == (sum(counts), window * channels)
-        assert ds.locations.shape == ds.level_of_row.shape == (sum(counts),)
-        assert np.all((0.0 < ds.locations) & (ds.locations < 1.0))
-        assert ds.descriptors.dtype == ds.locations.dtype == np.float64
-        assert ds.level_of_row.dtype == np.int64
+        locations = descriptor_locations(frames, schedule, window)
+        assert ds.shape == (locations.size, window * channels)
+        assert ds.dtype == locations.dtype == np.float64
+        assert np.all((0.0 < locations) & (locations < 1.0))
+        start = 0
+        for level in schedule.included_levels:
+            alone = SkipSchedule(1.0 / frames, levels, include=tuple(l == level for l in range(levels + 1)))
+            count = -(-frames // (level + 1)) - window
+            assert count >= 1
+            block = slice(start, start + count)
+            assert np.array_equal(ds[block], extract_series_descriptors(series, alone, window))
+            assert np.array_equal(locations[block], descriptor_locations(frames, alone, window))
+            start += count
+        assert start == locations.size
 
     def test_short_series_rejected(self):
         with pytest.raises(ValueError, match="shorter than one window"):

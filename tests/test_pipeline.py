@@ -10,7 +10,7 @@ from skipstack.classify import evaluate, svm_train_many
 from skipstack.config import ExperimentConfig, schedule_of
 from skipstack.dataset import generate_dataset
 from skipstack.encoder import augment, encode_sample, fit_codec
-from skipstack.features import SkipSchedule, extract_series_descriptors, level_cost_report
+from skipstack.features import SkipSchedule, descriptor_locations, extract_series_descriptors, level_cost_report
 from skipstack.pipeline import encode, grid_schedules, recognition_grid
 from skipstack.streams import stream
 
@@ -66,10 +66,11 @@ def pool_config_and_dataset():
 
 
 def pool_config_and_sets():
-    """The pool config and its training descriptor sets."""
+    """The pool config, its training descriptor sets and their locations."""
     config, dataset = pool_config_and_dataset()
     schedule = schedule_of(config, dataset.frames)
-    return config, [extract_series_descriptors(dataset.series[i], schedule, config.window) for i in dataset.train_idx]
+    sets = [extract_series_descriptors(dataset.series[i], schedule, config.window) for i in dataset.train_idx]
+    return config, sets, descriptor_locations(dataset.frames, schedule, config.window)
 
 
 class TestEncodeStage:
@@ -85,13 +86,14 @@ class TestEncodeStage:
         schedule = schedule_of(config, tiny_dataset.frames)
         codec, x = encode(tiny_dataset, schedule, config, stream(config.seed, 2))
         sets = [extract_series_descriptors(s, schedule, config.window) for s in tiny_dataset.series]
-        want, _ = fit_codec(sets.__getitem__, tiny_dataset.train_idx, config, rng=stream(config.seed, 2))
+        locations = descriptor_locations(tiny_dataset.frames, schedule, config.window)
+        want, _ = fit_codec(sets.__getitem__, tiny_dataset.train_idx, locations, config, rng=stream(config.seed, 2))
         for part in ("pca", "gmm"):
             for name, value in vars(getattr(want, part)).items():
                 assert np.array_equal(getattr(getattr(codec, part), name), value), (part, name)
         assert x.shape == (len(sets), want.encoding_dim)
         for row, ds in zip(x, sets):
-            assert np.array_equal(row, encode_sample(want, augment(want.pca, ds)))
+            assert np.array_equal(row, encode_sample(want, augment(want.pca, ds, locations)))
 
     def test_encode_stage_never_holds_the_training_sets_beside_the_pool(self):
         """The stage's traced peak stays under 2.5 training pools. With the
@@ -111,7 +113,7 @@ class TestEncodeStage:
         config, dataset = pool_config_and_dataset()
         schedule = schedule_of(config, dataset.frames)
         first = extract_series_descriptors(dataset.series[dataset.train_idx[0]], schedule, config.window)
-        pool_bytes = len(dataset.train_idx) * first.descriptors.nbytes
+        pool_bytes = len(dataset.train_idx) * first.nbytes
         del first
         tracemalloc.start()
         try:
@@ -133,7 +135,7 @@ class TestEncodeStage:
         config, dataset = pool_config_and_dataset()
         schedule = schedule_of(config, dataset.frames)
         first = extract_series_descriptors(dataset.series[dataset.test_idx[0]], schedule, config.window)
-        test_bytes = len(dataset.test_idx) * first.descriptors.nbytes
+        test_bytes = len(dataset.test_idx) * first.nbytes
         del first
         marks = {}
         fit = pipeline.fit_codec
@@ -189,11 +191,11 @@ class TestEncodeStage:
         QR runs in place): a second centered copy adds a whole pool (3.06x
         before the fit centered in place). A returning left factor is
         guarded by the PCA route's SVD-shape test too."""
-        config, sets = pool_config_and_sets()
-        pool_bytes = sum(ds.descriptors.nbytes for ds in sets)
+        config, sets, locations = pool_config_and_sets()
+        pool_bytes = sum(ds.nbytes for ds in sets)
         tracemalloc.start()
         try:
-            fit_codec(sets.__getitem__, range(len(sets)), config, rng=stream(config.seed, 2))
+            fit_codec(sets.__getitem__, range(len(sets)), locations, config, rng=stream(config.seed, 2))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -204,8 +206,8 @@ class TestEncodeStage:
         before the reduced pool is built, and only the augmented reduced
         pool, which the training samples are encoded from afterwards
         (about 0.56 pool), is live."""
-        config, sets = pool_config_and_sets()
-        pool_bytes = sum(ds.descriptors.nbytes for ds in sets)
+        config, sets, locations = pool_config_and_sets()
+        pool_bytes = sum(ds.nbytes for ds in sets)
         live_at_em = []
         original = encoder.gmm_fit
 
@@ -216,7 +218,7 @@ class TestEncodeStage:
         monkeypatch.setattr(encoder, "gmm_fit", spy)
         tracemalloc.start()
         try:
-            _, reduced = fit_codec(sets.__getitem__, range(len(sets)), config, rng=stream(config.seed, 2))
+            _, reduced = fit_codec(sets.__getitem__, range(len(sets)), locations, config, rng=stream(config.seed, 2))
         finally:
             tracemalloc.stop()
         assert len(live_at_em) == 1
