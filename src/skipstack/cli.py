@@ -31,6 +31,7 @@ from .classify import (
 )
 from .conditioning import (
     bernstein_coverage_test,
+    binomial_tail_probability,
     coverage_experiment,
     spectrum_curve,
     theorem1_bounds,
@@ -103,11 +104,14 @@ def _model_of(config: ExperimentConfig):
     return new_model(config.k, config.d, config.gammas, config.c, config.sigma, config.seed)
 
 
-def _summary_record(summary) -> dict:
+def _summary_record(summary, delta: float) -> dict:
+    hits = int(np.count_nonzero(summary.within))
     return {
         "bound_lower": summary.bound_lower,
         "bound_upper": summary.bound_upper,
         "coverage": summary.coverage,
+        # P(at most this many hits) were each trial covered with probability 1 - delta
+        "coverage_tail_p": binomial_tail_probability(hits, summary.within.size, 1.0 - delta),
         "delta_tau": summary.delta_tau,
         "mean_beta": summary.mean_beta,
         "var_beta": summary.var_beta,
@@ -140,16 +144,9 @@ def cmd_model_gen(config: ExperimentConfig, out: Path, args) -> list[Path]:
 
 
 def cmd_sim_condition(config: ExperimentConfig, out: Path, args) -> list[Path]:
-    model = _model_of(config)
-    schedule = schedule_of(config)
-    cases = {
-        "fixed": coverage_experiment(
-            model, schedule.base_tau, config.delta, config.trials, config.seed
-        ),
-        "stacked": coverage_experiment(
-            model, schedule, config.delta, config.trials, config.seed
-        ),
-    }
+    model, schedule = _model_of(config), schedule_of(config)
+    stacked = coverage_experiment(model, schedule, config.delta, config.trials, config.seed)
+    cases = {"fixed": stacked.fixed, "stacked": stacked}
     rows = (
         (case, trial, beta, summary.bound_lower, summary.bound_upper, int(within))
         for case, summary in cases.items()
@@ -158,7 +155,7 @@ def cmd_sim_condition(config: ExperimentConfig, out: Path, args) -> list[Path]:
     table = _write_csv(out / "coverage.csv", PLOT_HEADERS["coverage"], rows)
     summary = _write_json(
         out / "coverage-summary.json",
-        {case: _summary_record(item) for case, item in cases.items()},
+        {case: _summary_record(item, config.delta) for case, item in cases.items()},
     )
     return [table, summary]
 

@@ -25,7 +25,7 @@ least T_min = ceil(k log(2k/delta) / (9 (1+c))).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -92,17 +92,22 @@ def _betas(grams: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return np.where(singular, np.inf, lam_max / lam_min), lam_max, lam_min
 
 
-def _blocked(trials: int, shape: tuple[int, int], fill, reduce) -> np.ndarray:
-    """One value per trial: ``fill(trial, out)`` writes each trial's matrix
-    into a block of at most BLOCK_BYTES, which ``reduce`` takes in one call."""
-    values = np.empty(trials)
-    size = max(1, min(trials, BLOCK_BYTES // (8 * shape[0] * shape[1])))
+def _blocked(trials: int, shape: tuple[int, ...], fill, reduce) -> list[np.ndarray]:
+    """One array of per-trial values for each k x k matrix of a trial's
+    ``shape``: ``fill(trial, out)`` writes a trial's matrices into a block of
+    at most BLOCK_BYTES, which ``reduce`` takes in one call."""
+    # one array per matrix: a huge trial count then fails to allocate
+    # (MemoryError) rather than overflowing the largest array size
+    values = [np.empty(trials) for _ in range(math.prod(shape[:-2]))]
+    size = max(1, min(trials, BLOCK_BYTES // (8 * math.prod(shape))))
     block = np.empty((size, *shape))
     for start in range(0, trials, size):
         stack = block[: trials - start]
         for offset, out in enumerate(stack):
             fill(start + offset, out)
-        values[start : start + len(stack)] = reduce(stack)
+        reduced = reduce(stack).reshape(len(stack), -1)
+        for column, array in enumerate(values):
+            array[start : start + len(stack)] = reduced[:, column]
     return values
 
 
@@ -195,7 +200,7 @@ def bernstein_coverage_test(p_dim: int, n: int, b: float, delta: float, trials: 
         np.matmul(x.T, x, out=out)
         out -= mean
 
-    norms = _blocked(trials, (p_dim, p_dim), deviation, lambda s: np.linalg.norm(s, ord=2, axis=(1, 2)))
+    [norms] = _blocked(trials, (p_dim, p_dim), deviation, lambda s: np.linalg.norm(s, ord=2, axis=(1, 2)))
     return int(np.count_nonzero(norms > radius)) / trials
 
 
@@ -231,7 +236,11 @@ def spectrum_curve(matrix) -> np.ndarray:
 
 @dataclass
 class CoverageSummary:
-    """Per-trial betas against a fixed sandwich, with summary statistics."""
+    """Per-trial betas against a fixed sandwich, with summary statistics.
+
+    A stacked summary carries the fixed-skip summary of the same draws in
+    ``fixed``; a fixed-skip one has None there.
+    """
 
     betas: np.ndarray
     within: np.ndarray
@@ -241,6 +250,23 @@ class CoverageSummary:
     coverage: float
     mean_beta: float
     var_beta: float
+    fixed: CoverageSummary | None = None
+
+
+def _summary(betas: np.ndarray, bounds: BoundReport, fixed: CoverageSummary | None = None) -> CoverageSummary:
+    # an infinite beta (singular Gram) is covered only by a vacuous upper bound
+    within = (bounds.bound_lower <= betas) & (betas <= bounds.bound_upper)
+    return CoverageSummary(
+        betas=betas,
+        within=within,
+        bound_lower=bounds.bound_lower,
+        bound_upper=bounds.bound_upper,
+        delta_tau=bounds.delta_tau,
+        coverage=float(np.mean(within)),
+        mean_beta=float(np.mean(betas)),
+        var_beta=float(np.var(betas)) if np.isfinite(betas).all() else math.inf,
+        fixed=fixed,
+    )
 
 
 def coverage_experiment(
@@ -255,39 +281,40 @@ def coverage_experiment(
     ``mifs_stack(model, skip, (seed, i), observe=False)``, the sampler
     every stack comes from. Trials are independent of each other and of
     their order.
+
+    The stacked route draws level 0 even when the schedule masks it out,
+    and returns, in ``fixed``, the fixed-skip summary at ``base_tau`` of
+    those level-0 columns, so both routes see the same draws.
     """
     if isinstance(skip, SkipSchedule):
-        bounds = theorem2_bounds(model.gammas, model.c, skip, delta)
+        tau, t = skip.base_tau, skip.budget(0)
+        drawn = replace(skip, include=(True, *skip.include[1:]))
+        # level 0's columns come first; the stack starts after them if masked
+        spans = (slice(0, t), slice(0 if skip.include[0] else t, None))
 
         def draw(trial: int) -> np.ndarray:
-            return mifs_stack(model, skip, (seed, trial), observe=False).p
+            return mifs_stack(model, drawn, (seed, trial), observe=False).p
 
     else:
         tau = float(skip)
         t = t_samples if t_samples is not None else budget(tau)
-        bounds = theorem1_bounds(
-            model.gammas[0], model.gammas[-1], model.c, tau, model.k, t, delta
-        )
+        spans = (slice(None),)
 
         def draw(trial: int) -> np.ndarray:
             return sample_difference_matrix(model, tau, t, stream(seed, trial))
 
-    def gram(trial: int, out: np.ndarray) -> None:
-        _normalized_gram(draw(trial), out)
+    fixed = theorem1_bounds(model.gammas[0], model.gammas[-1], model.c, tau, model.k, t, delta)
 
-    betas = _blocked(trials, (model.k, model.k), gram, lambda grams: _betas(grams)[0])
-    # an infinite beta (singular Gram) is covered only by a vacuous upper bound
-    within = (bounds.bound_lower <= betas) & (betas <= bounds.bound_upper)
-    return CoverageSummary(
-        betas=betas,
-        within=within,
-        bound_lower=bounds.bound_lower,
-        bound_upper=bounds.bound_upper,
-        delta_tau=bounds.delta_tau,
-        coverage=float(np.mean(within)),
-        mean_beta=float(np.mean(betas)),
-        var_beta=float(np.var(betas)) if np.isfinite(betas).all() else math.inf,
-    )
+    def grams(trial: int, out: np.ndarray) -> None:
+        p = draw(trial)
+        for span, gram in zip(spans, out):
+            _normalized_gram(p[:, span], gram)
+
+    betas = _blocked(trials, (len(spans), model.k, model.k), grams, lambda grams: _betas(grams)[0])
+    if len(betas) == 1:
+        return _summary(betas[0], fixed)
+    # the stacked bounds come after the draws, as when each route drew its own
+    return _summary(betas[1], theorem2_bounds(model.gammas, model.c, skip, delta), _summary(betas[0], fixed))
 
 
 def binomial_tail_probability(successes: int, trials: int, rate: float) -> float:

@@ -22,16 +22,21 @@ Every key the package derives, with ``seed`` the config seed:
     SVM         (seed, 3[, salt], class)    one binary problem's coordinate
                                             orders; salt as for the codec
     features    (seed, level)               one level of ``mifs_stack``
-    coverage    (seed, trial)               a fixed-skip trial
-    coverage    ((seed, trial), level)      one level of a stacked trial
+    coverage    (seed, trial)               a fixed-skip trial of its own
+    coverage    ((seed, trial), level)      one level of a stacked trial;
+                                            level 0 is also its paired
+                                            fixed-skip trial
     bernstein   (seed, trial)               one trial's sign vectors
     ==========  ==========================  =================================
 
 Latent and dataset share (seed, 0): a model and a dataset of one seed
 start from the same stream. More keys meet: level 0 of ``spectrum``'s
 stacks is (seed, 0), the latent model's stream, and by the trailing-zero
-rule below fixed-skip coverage trial t draws the same matrix as level 0
-of stacked trial t, so ``sim-condition``'s two routes are paired.
+rule below a fixed-skip trial of its own, (seed, t), draws the same
+matrix as level 0 of stacked trial t. ``sim-condition`` does not rely on
+that: its two routes are paired by construction, since the stacked route
+draws level 0 of each trial once, even where the schedule masks it out,
+and reads the fixed-skip trial from it.
 
 Keys are hashed by ``np.random.SeedSequence``, which pads its entropy with
 zeros, so keys that differ only by trailing zeros give the same stream:

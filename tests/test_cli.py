@@ -151,11 +151,13 @@ class TestSimulationVerbs:
                 "bound_lower",
                 "bound_upper",
                 "coverage",
+                "coverage_tail_p",
                 "delta_tau",
                 "mean_beta",
                 "var_beta",
             }
             assert 0.0 <= summary[case]["coverage"] <= 1.0
+            assert 0.0 <= summary[case]["coverage_tail_p"] <= 1.0
 
     def test_sim_bounds_covers_levels_and_stack(self, tmp_path):
         cfg = write_config(tmp_path, levels=2)

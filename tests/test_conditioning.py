@@ -221,6 +221,22 @@ class TestBernstein:
         assert "trials must be >= 100, got 50" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_fixed_draw_fault_reported_before_the_stacked_budget(self, tmp_path, capsys):
+        # level 0 is drawn although masked out, and its flip band fails
+        # before the stacked bounds see a one-column budget, as when the
+        # fixed route drew on its own
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({
+            "seed": 0, "gammas": [0.00125, 0.00125, 0.005, 0.005], "base_tau": 0.3,
+            "levels": 1, "exclude": [0], "trials": 100,
+        }))
+        out = tmp_path / "out"
+        assert main(["sim-condition", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: gamma too small for tau") and "tau=0.3," in err
+        assert "sample budget" not in err
+        assert list(out.iterdir()) == []
+
 
 class TestSpectrumCurve:
     def test_isotropic_matrix_is_flat(self):
@@ -331,6 +347,22 @@ class TestCoverageExperiment:
         assert "trials must be >= 100, got 50" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_fixed_draw_fault_reported_before_the_stacked_budget(self, tmp_path, capsys):
+        # level 0 is drawn although masked out, and its flip band fails
+        # before the stacked bounds see a one-column budget, as when the
+        # fixed route drew on its own
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({
+            "seed": 0, "gammas": [0.00125, 0.00125, 0.005, 0.005], "base_tau": 0.3,
+            "levels": 1, "exclude": [0], "trials": 100,
+        }))
+        out = tmp_path / "out"
+        assert main(["sim-condition", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: gamma too small for tau") and "tau=0.3," in err
+        assert "sample budget" not in err
+        assert list(out.iterdir()) == []
+
 
 class TestBinomialTail:
     def test_all_failures(self):
@@ -399,6 +431,7 @@ class TestOneTrialPath:
         # 300 trials: one full block of 256 and a partial one
         summary = coverage_experiment(model, tau, 0.1, 300, seed=9)
         self.check(summary, lambda t: sample_difference_matrix(model, tau, budget(tau), stream(9, t)))
+        assert summary.fixed is None
 
     @pytest.mark.parametrize("t_samples", [4, 9, 2000])
     def test_fixed_route_with_explicit_budget(self, t_samples):
@@ -421,6 +454,21 @@ class TestOneTrialPath:
         schedule = SkipSchedule(base_tau=1 / 400, levels=3, include=include)
         summary = coverage_experiment(model, schedule, 0.1, 260, seed=3)
         self.check(summary, lambda t: mifs_stack(model, schedule, (3, t), observe=False).p)
+
+    @pytest.mark.parametrize(
+        "levels, include", [(3, ()), (3, (False, True, False, True)), (3, (False, False, True, True)), (0, ())]
+    )
+    @pytest.mark.parametrize("sigma", [0.0, 0.05])
+    def test_stacked_route_carries_the_fixed_route(self, levels, include, sigma):
+        """The fixed-skip summary of a stacked run is the fixed route's
+        trial at base_tau, drawn once, whether or not level 0 is kept."""
+        model, tau = self.model(sigma=sigma), 1 / 400
+        schedule = SkipSchedule(base_tau=tau, levels=levels, include=include)
+        summary = coverage_experiment(model, schedule, 0.1, 260, seed=3)
+        self.check(summary.fixed, lambda t: sample_difference_matrix(model, tau, budget(tau), stream(3, t)))
+        fixed = theorem1_bounds(model.gammas[0], model.gammas[-1], model.c, tau, model.k, budget(tau), 0.1)
+        assert (summary.fixed.bound_lower, summary.fixed.bound_upper) == (fixed.bound_lower, fixed.bound_upper)
+        assert summary.fixed.fixed is None
 
 
 def _bernstein_reference(p_dim, n, b, delta, trials, seed) -> float:
@@ -464,7 +512,11 @@ class TestHarnessMemory:
         schedule = SkipSchedule(base_tau=0.005, levels=3)
 
         def peak(trials: int) -> int:
-            return _traced_peak(lambda: coverage_experiment(model, schedule, 0.1, trials, 1))
+            kept = []
+            used = _traced_peak(lambda: kept.append(coverage_experiment(model, schedule, 0.1, trials, 1)))
+            # the peak covers the fixed-skip summary the stacked route carries
+            assert kept[0].fixed.betas.size == trials
+            return used
 
         assert peak(3000) - peak(300) <= 8 * 8 * 2700
 
