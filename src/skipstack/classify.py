@@ -24,6 +24,10 @@ Column magnitudes and zero counts are taken once per call, and the step
 buffers once per epoch; a step finds its first valid segment by one
 comparison along the row (see ``_weight_steps``).
 
+A trained classifier is one record: the k x dim weights ``w``, the k
+biases ``b``, the call's one C and, per class, the objective before the
+first epoch and after each one (``traces``; none when read from disk).
+
 Prediction takes the argmax of the per-class raw scores with the lowest
 class index breaking ties. Evaluation reports mean per-class accuracy and
 mean average precision of the per-class score rankings.
@@ -32,7 +36,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -45,24 +49,12 @@ SVM_TOL = 1e-6
 
 
 @dataclass
-class LinearModel:
-    w: np.ndarray
-    b: float
-    c: float
-    # a model read back from disk keeps no training record
-    epochs_run: int = 0
-    objective: float = float("nan")
-    objective_trace: np.ndarray = field(default_factory=lambda: np.empty(0))
-
-
-@dataclass
 class OneVsAllClassifier:
     classes: np.ndarray
-    models: list[LinearModel]
-
-    @property
-    def dim(self) -> int:
-        return self.models[0].w.size
+    w: np.ndarray
+    b: np.ndarray
+    c: float
+    traces: tuple[np.ndarray, ...] = ()
 
 
 def _objective(w: np.ndarray, margins: np.ndarray, c: float) -> float:
@@ -249,30 +241,20 @@ def svm_train_many(xs, labels, c: float, seeds) -> list[OneVsAllClassifier]:
             if abs(prev - current) > SVM_TOL * max(1.0, abs(prev)):
                 still.append(p)
         active = still
-    models = [
-        LinearModel(
-            w=w[p].copy(),
-            b=float(b[p]),
-            c=c,
-            epochs_run=len(traces[p]) - 1,
-            objective=traces[p][-1],
-            objective_trace=np.asarray(traces[p]),
-        )
-        for p in range(count)
-    ]
     return [
-        OneVsAllClassifier(classes=classes, models=models[i * k : (i + 1) * k])
-        for i in range(len(xs))
+        OneVsAllClassifier(
+            classes=classes, w=w[p : p + k].copy(), b=b[p : p + k].copy(), c=c,
+            traces=tuple(np.asarray(trace) for trace in traces[p : p + k]),
+        )
+        for p in range(0, count, k)
     ]
 
 
 def _scores(clf: OneVsAllClassifier, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
-    if x.shape[1] != clf.dim:
-        raise ValueError(f"feature dimension {x.shape[1]} does not match model {clf.dim}")
-    weights = np.stack([m.w for m in clf.models])
-    biases = np.array([m.b for m in clf.models])
-    scores = x @ weights.T + biases
+    if x.shape[1] != clf.w.shape[1]:
+        raise ValueError(f"feature dimension {x.shape[1]} does not match model {clf.w.shape[1]}")
+    scores = x @ clf.w.T + clf.b
     if not np.isfinite(scores).all():
         raise ValueError("scores are not finite: features and model weights must be finite")
     return scores
@@ -348,10 +330,7 @@ def evaluate(clf: OneVsAllClassifier, x: np.ndarray, labels) -> EvalReport:
 def save_classifier(clf: OneVsAllClassifier, path) -> None:
     doc = {
         "classes": [cls.item() if hasattr(cls, "item") else cls for cls in clf.classes],
-        "models": [
-            {"w": m.w.tolist(), "b": m.b, "c": m.c}
-            for m in clf.models
-        ],
+        "models": [{"w": w, "b": b, "c": clf.c} for w, b in zip(clf.w.tolist(), clf.b.tolist())],
     }
     Path(path).write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
 
@@ -360,10 +339,7 @@ def load_classifier(path) -> OneVsAllClassifier:
     try:
         doc = json.loads(Path(path).read_text())
         classes = doc["classes"]
-        models = [
-            LinearModel(w=numbers(m["w"]), b=number(m["b"]), c=number(m["c"]))
-            for m in doc["models"]
-        ]
+        models = [(numbers(m["w"]), number(m["b"]), number(m["c"])) for m in doc["models"]]
     except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
         raise ValueError(f"{path} is not a classifier: {exc!r}") from None
     if not isinstance(classes, list) or not all(type(cls) is int for cls in classes):
@@ -372,8 +348,9 @@ def load_classifier(path) -> OneVsAllClassifier:
         raise ValueError(f"{path}: classes must not repeat, got {classes}")
     if not models or len(models) != len(classes):
         raise ValueError(f"{path}: {len(classes)} classes but {len(models)} models")
-    if any(m.w.ndim != 1 or m.w.shape != models[0].w.shape for m in models):
+    w, b, c = zip(*models)
+    if any(row.ndim != 1 or row.shape != w[0].shape for row in w):
         raise ValueError(f"{path}: model weights must be vectors of one length")
-    if any(m.c <= 0.0 for m in models):
-        raise ValueError(f"{path}: every model's c must be positive")
-    return OneVsAllClassifier(classes=np.asarray(classes), models=models)
+    if len(set(c)) != 1 or c[0] <= 0.0:
+        raise ValueError(f"{path}: c must be positive and the same for every model, got {sorted(set(c))}")
+    return OneVsAllClassifier(classes=np.asarray(classes), w=np.stack(w), b=np.array(b), c=c[0])

@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 config or validation error or out of memory,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import json
@@ -392,14 +393,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    created = []
     try:
         config = load_config(args.config, {"seed": args.seed, "out_dir": args.out})
         out = Path(config.out_dir)
+        created = [directory for directory in (out, *out.parents) if not directory.exists()]
         out.mkdir(parents=True, exist_ok=True)
         outputs = args.handler(config, out, args)
         _write_manifest(out, args.command, config, outputs)
     except (ConvergenceError, ValueError, MemoryError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        # deepest first; rmdir removes a directory only while it is empty
+        for directory in created:
+            with contextlib.suppress(OSError):
+                directory.rmdir()
         return 3 if isinstance(exc, ConvergenceError) else 4 if isinstance(exc, OSError) else 2
     for path in outputs:
         print(f"wrote {path}")

@@ -181,9 +181,10 @@ class GmmModel:
 
 
 def _e_step(
-    gmm: GmmModel, data: np.ndarray, squares: np.ndarray
+    weights: np.ndarray, means: np.ndarray, variances: np.ndarray, data: np.ndarray, squares: np.ndarray
 ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
-    """E-step and posterior moments of ``data`` (N x D) under the mixture.
+    """E-step and posterior moments of ``data`` (N x D) under the mixture of
+    ``weights`` (K), ``means`` and ``variances`` (K x D).
 
     Returns the mean per-point log-likelihood and, per component, the
     posterior mass sum_n gamma_n(k), the first moments sum_n gamma_n(k) x_n
@@ -198,22 +199,22 @@ def _e_step(
     side of the product, and the row sums, the division and the moment
     products run on the N x K posteriors.
     """
-    k, n = gmm.k, data.shape[0]
+    k, n = weights.size, data.shape[0]
     # the K x N and N x K steps below run in place in one 2 * K * N buffer
     work = np.empty(2 * k * n)
     logd = work[: k * n].reshape(k, n)
     cross = work[k * n :].reshape(k, n)
-    inv = 1.0 / gmm.variances
+    inv = 1.0 / variances
     # ||(x - mu)/sigma||^2 expanded through matmul to avoid a K x N x D array
     np.matmul(inv, squares.T, out=logd)
-    np.matmul(2.0 * (gmm.means * inv), data.T, out=cross)
+    np.matmul(2.0 * (means * inv), data.T, out=cross)
     logd -= cross
-    logd += np.sum(gmm.means**2 * inv, axis=1)[:, None]
+    logd += np.sum(means**2 * inv, axis=1)[:, None]
     logd *= 0.5
     log_norm = -0.5 * (
-        data.shape[1] * math.log(2.0 * math.pi) + np.sum(np.log(gmm.variances), axis=1)
+        data.shape[1] * math.log(2.0 * math.pi) + np.sum(np.log(variances), axis=1)
     )
-    np.subtract((np.log(gmm.weights) + log_norm)[:, None], logd, out=logd)
+    np.subtract((np.log(weights) + log_norm)[:, None], logd, out=logd)
     top = logd.max(axis=0)
     logd -= top
     np.exp(logd, out=logd)
@@ -228,7 +229,7 @@ def _e_step(
 
 def mean_log_likelihood(gmm: GmmModel, data: np.ndarray) -> float:
     data = np.asarray(data, dtype=float)
-    return _e_step(gmm, data, data**2)[0]
+    return _e_step(gmm.weights, gmm.means, gmm.variances, data, data**2)[0]
 
 
 def _seed_means(data: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -255,6 +256,7 @@ def gmm_fit(data: np.ndarray, k_components: int, rng: np.random.Generator) -> Gm
     EM_TOL or after EM_MAX_ITERS E-steps. A component whose weight
     collapses below 1e-8 is re-seeded at a random data point (at most 3
     times per component) before the fit is abandoned with ConvergenceError.
+    EM steps the three parameter arrays and checks the mixture once, on return.
     """
     data = np.asarray(data, dtype=float)
     n, d = data.shape
@@ -263,16 +265,14 @@ def gmm_fit(data: np.ndarray, k_components: int, rng: np.random.Generator) -> Gm
     data_var = data.var(axis=0)
     data_var[data_var < np.finfo(float).tiny] = 1.0  # unit scale keeps a constant column's floor positive
     floor = VARIANCE_FLOOR_RATIO * data_var
-    gmm = GmmModel(
-        weights=np.full(k_components, 1.0 / k_components),
-        means=_seed_means(data, k_components, rng),
-        variances=np.tile(data_var, (k_components, 1)),
-    )
+    weights = np.full(k_components, 1.0 / k_components)
+    means = _seed_means(data, k_components, rng)
+    variances = np.tile(data_var, (k_components, 1))
     squares = data**2
     trace = []
     reseeds = np.zeros(k_components, dtype=int)
     for _ in range(EM_MAX_ITERS):
-        ll, mass, sum_x, sum_x2 = _e_step(gmm, data, squares)
+        ll, mass, sum_x, sum_x2 = _e_step(weights, means, variances, data, squares)
         trace.append(ll)
         if len(trace) > 1 and abs(trace[-1] - trace[-2]) <= EM_TOL * abs(trace[-2]):
             break
@@ -285,17 +285,15 @@ def gmm_fit(data: np.ndarray, k_components: int, rng: np.random.Generator) -> Gm
                         f"component {comp} collapsed {reseeds[comp]} times; "
                         f"reduce K or provide more data"
                     )
-                gmm.means[comp] = data[rng.integers(n)]
-                gmm.variances[comp] = data_var
-            gmm.weights = np.full(k_components, 1.0 / k_components)
+                means[comp] = data[rng.integers(n)]
+                variances[comp] = data_var
+            weights = np.full(k_components, 1.0 / k_components)
             continue
         weights = mass / n
         means = sum_x / mass[:, None]
         second = sum_x2 / mass[:, None]
         variances = np.maximum(second - means**2, floor)
-        gmm = GmmModel(weights=weights, means=means, variances=variances)
-    gmm.log_likelihood_trace = np.asarray(trace)
-    return gmm
+    return GmmModel(weights, means, variances, np.asarray(trace))
 
 
 def fisher_vector(gmm: GmmModel, descriptors: np.ndarray) -> np.ndarray:
@@ -316,7 +314,7 @@ def fisher_vector(gmm: GmmModel, descriptors: np.ndarray) -> np.ndarray:
             f"the mixture dimension {gmm.means.shape[1]}"
         )
     n = descriptors.shape[0]
-    _, mass, sum_x, sum_x2 = _e_step(gmm, descriptors, descriptors**2)
+    _, mass, sum_x, sum_x2 = _e_step(gmm.weights, gmm.means, gmm.variances, descriptors, descriptors**2)
     sigma = np.sqrt(gmm.variances)
     # sum_n gamma (x - mu)/sigma, expanded through the accumulated moments
     g_mu = (sum_x - mass[:, None] * gmm.means) / sigma

@@ -1,6 +1,7 @@
 """Tests for the one-vs-all hinge classifier and evaluation metrics."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from skipstack.classify import (
     SVM_EPOCHS,
     SVM_TOL,
     OneVsAllClassifier,
-    LinearModel,
     _average_precision,
     _objective,
     _step_buffers,
@@ -42,6 +42,22 @@ def blobs(seed=0, n=40, gap=4.0):
     x = np.vstack([a, b])
     y = np.array([0] * n + [1] * n)
     return x, y
+
+
+@dataclass
+class BinaryFit:
+    """One class's model and per-epoch objective trace; the trace fixes the
+    epoch count and the final objective."""
+
+    w: np.ndarray
+    b: float
+    c: float
+    trace: np.ndarray
+
+
+def fits(clf: OneVsAllClassifier) -> list[BinaryFit]:
+    """A trained classifier's per-class fits, in class order."""
+    return [BinaryFit(w, b, clf.c, trace) for w, b, trace in zip(clf.w, clf.b, clf.traces, strict=True)]
 
 
 # --- reference: the one-problem solver that the batched kernel replaced ------
@@ -95,7 +111,7 @@ def _train_binary(
     epochs: int,
     tol: float,
     seed,
-) -> LinearModel:
+) -> BinaryFit:
     n, dim = x.shape
     w = np.zeros(dim)
     b = 0.0
@@ -125,14 +141,9 @@ def _train_binary(
             prev = current
             break
         prev = current
-    return LinearModel(
-        w=w,
-        b=b,
-        c=c,
-        epochs_run=epochs_run,
-        objective=prev,
-        objective_trace=np.asarray(trace),
-    )
+    # the trace records every epoch run and ends at the final objective
+    assert len(trace) == epochs_run + 1 and trace[-1] == prev
+    return BinaryFit(w=w, b=b, c=c, trace=np.asarray(trace))
 
 
 def reference_models(x, labels, c, seed, epochs=SVM_EPOCHS, tol=SVM_TOL):
@@ -151,9 +162,8 @@ def assert_bit_identical(models, expected):
         assert got.w.tobytes() == want.w.tobytes()
         assert np.float64(got.b).tobytes() == np.float64(want.b).tobytes()
         assert got.c == want.c
-        assert got.epochs_run == want.epochs_run
-        assert np.float64(got.objective).tobytes() == np.float64(want.objective).tobytes()
-        assert got.objective_trace.tobytes() == want.objective_trace.tobytes()
+        # equal trace bytes fix the epoch count and the final objective
+        assert got.trace.tobytes() == want.trace.tobytes()
 
 
 def sparse_features(seed=20, n=30, dim=6):
@@ -178,7 +188,7 @@ class TestReferenceOracle:
     def test_models_match_the_one_problem_solver(self, make, c):
         x, y = make()
         clf = train(x, y, c, seed=(4, 2))
-        assert_bit_identical(clf.models, reference_models(x, y, c, (4, 2)))
+        assert_bit_identical(fits(clf), reference_models(x, y, c, (4, 2)))
 
     def test_models_stopped_at_the_epoch_cap_match_the_one_problem_solver(self, monkeypatch):
         monkeypatch.setattr(classify, "SVM_EPOCHS", 3)
@@ -186,14 +196,14 @@ class TestReferenceOracle:
         def ways_out(models):
             """(stopped at the cap, converged before it) for each model."""
             for m in models:
-                prev, last = m.objective_trace[-2:]
-                yield abs(prev - last) > SVM_TOL * max(1.0, abs(prev)), m.epochs_run < 3
+                prev, last = m.trace[-2:]
+                yield abs(prev - last) > SVM_TOL * max(1.0, abs(prev)), len(m.trace) - 1 < 3
 
         ways = set()
         for make in (blobs, sparse_features, duplicated_rows):
             x, y = make()
             for c in (1e-3, 1.0, 100.0):
-                models = train(x, y, c, seed=(4, 2)).models
+                models = fits(train(x, y, c, seed=(4, 2)))
                 assert_bit_identical(models, reference_models(x, y, c, (4, 2), epochs=3))
                 ways.update(ways_out(models))
         assert ways == {(True, False), (False, True)}
@@ -201,8 +211,8 @@ class TestReferenceOracle:
         xs, labels, c, seeds = self.mixed_batch()
         models = []
         for x, seed, clf in zip(xs, seeds, svm_train_many(xs, labels, c, seeds), strict=True):
-            assert_bit_identical(clf.models, reference_models(x, labels, c, seed, epochs=3))
-            models.extend(clf.models)
+            assert_bit_identical(fits(clf), reference_models(x, labels, c, seed, epochs=3))
+            models.extend(fits(clf))
         assert set(ways_out(models)) == {(True, False), (False, True)}
 
     def test_weight_steps_match_the_one_problem_step(self):
@@ -291,14 +301,14 @@ class TestReferenceOracle:
         epochs = []
         for x, seed, clf in zip(xs, seeds, classifiers, strict=True):
             assert np.array_equal(clf.classes, np.unique(labels))
-            assert_bit_identical(clf.models, reference_models(x, labels, c, seed))
-            epochs.extend(m.epochs_run for m in clf.models)
+            assert_bit_identical(fits(clf), reference_models(x, labels, c, seed))
+            epochs.extend(len(trace) - 1 for trace in clf.traces)
         assert max(epochs) >= 5 * min(epochs)
 
     def test_a_problem_alone_equals_it_inside_a_batch(self):
         xs, labels, c, seeds = self.mixed_batch()
         for x, seed, clf in zip(xs, seeds, svm_train_many(xs, labels, c, seeds), strict=True):
-            assert_bit_identical(clf.models, train(x, labels, c, seed).models)
+            assert_bit_identical(fits(clf), fits(train(x, labels, c, seed)))
 
     def test_batch_of_mixed_shapes_rejected(self):
         with pytest.raises(ValueError, match="one shape"):
@@ -336,8 +346,8 @@ class TestReferenceOracle:
         assert 161 % classify._GATHER != 0
         epochs = set()
         for x, seed, clf in zip(xs, seeds, svm_train_many(xs, labels, 100.0, seeds), strict=True):
-            assert_bit_identical(clf.models, reference_models(x, labels, 100.0, seed))
-            epochs.update(m.epochs_run for m in clf.models)
+            assert_bit_identical(fits(clf), reference_models(x, labels, 100.0, seed))
+            epochs.update(len(trace) - 1 for trace in clf.traces)
         assert len(epochs) > 1
 
 
@@ -364,16 +374,15 @@ class TestTraining:
     def test_objective_beats_zero_vector(self):
         x, y = blobs(seed=4)
         clf = train(x, y, 10.0, seed=4)
-        for model in clf.models:
-            assert model.objective <= 10.0 * len(y) + 1e-9
+        for trace in clf.traces:
+            assert trace[-1] <= 10.0 * len(y) + 1e-9
 
     def test_objective_trace_non_increasing(self):
         rng = np.random.default_rng(5)
         x = rng.normal(size=(60, 8))
         y = rng.integers(0, 2, size=60)
         clf = train(x, y, 5.0, seed=5)
-        for model in clf.models:
-            trace = model.objective_trace
+        for trace in clf.traces:
             rises = np.diff(trace)
             assert np.all(rises <= 1e-8 * np.maximum(np.abs(trace[:-1]), 1.0))
 
@@ -381,9 +390,8 @@ class TestTraining:
         x, y = blobs(seed=6)
         a = train(x, y, 100.0, seed=6)
         b = train(x, y, 100.0, seed=6)
-        for ma, mb in zip(a.models, b.models):
-            assert np.array_equal(ma.w, mb.w)
-            assert ma.b == mb.b
+        assert np.array_equal(a.w, b.w)
+        assert np.array_equal(a.b, b.b)
 
     def test_single_class_rejected(self):
         with pytest.raises(ValueError, match="2 classes"):
@@ -404,7 +412,7 @@ class TestTraining:
         y = np.where(rng.random(40) < 0.5, 1.0, -1.0)
         c = 1.0
         clf = train(x, np.where(y > 0, 1, 0), c=c, seed=7)
-        model = clf.models[1]  # the binary problem for label 1 is y itself
+        objective = clf.traces[1][-1]  # the binary problem for label 1 is y itself
         w = cvxpy.Variable(5)
         b = cvxpy.Variable()
         hinge = cvxpy.sum(cvxpy.pos(1 - cvxpy.multiply(y, x @ w + b)))
@@ -413,21 +421,15 @@ class TestTraining:
         # Exact per-coordinate minimization can stall at a coordinate-wise
         # minimum of the non-smooth hinge, so allow a small optimality gap
         # but never an objective below the true optimum.
-        assert model.objective >= problem.value - 1e-6
-        assert model.objective <= problem.value * 1.005
+        assert objective >= problem.value - 1e-6
+        assert objective <= problem.value * 1.005
 
 
 class TestPredict:
     def test_argmax_invariant_under_positive_rescaling(self):
         x, y = blobs(seed=8)
         clf = train(x, y, 100.0, seed=8)
-        scaled = OneVsAllClassifier(
-            classes=clf.classes,
-            models=[
-                LinearModel(w=3.0 * m.w, b=3.0 * m.b, c=m.c, epochs_run=0, objective=0.0)
-                for m in clf.models
-            ],
-        )
+        scaled = OneVsAllClassifier(classes=clf.classes, w=3.0 * clf.w, b=3.0 * clf.b, c=clf.c)
         _, a = predict(clf, x)
         _, b = predict(scaled, x)
         assert np.array_equal(a, b)
@@ -443,13 +445,7 @@ class TestPredict:
             assert l[0] == batch_labels[i]
 
     def test_tie_breaks_to_lowest_class_index(self):
-        clf = OneVsAllClassifier(
-            classes=np.array([3, 5]),
-            models=[
-                LinearModel(w=np.zeros(2), b=0.0, c=1.0, epochs_run=0, objective=0.0),
-                LinearModel(w=np.zeros(2), b=0.0, c=1.0, epochs_run=0, objective=0.0),
-            ],
-        )
+        clf = OneVsAllClassifier(classes=np.array([3, 5]), w=np.zeros((2, 2)), b=np.zeros(2), c=1.0)
         _, labels = predict(clf, np.ones((3, 2)))
         assert labels.tolist() == [3, 3, 3]
 
@@ -474,11 +470,7 @@ class TestEvaluate:
         x = rng.normal(size=(n, 6))
         y = np.repeat([0, 1], n // 2)
         clf = OneVsAllClassifier(
-            classes=np.array([0, 1]),
-            models=[
-                LinearModel(w=rng.normal(size=6), b=0.0, c=1.0, epochs_run=0, objective=0.0)
-                for _ in range(2)
-            ],
+            classes=np.array([0, 1]), w=np.stack([rng.normal(size=6) for _ in range(2)]), b=np.zeros(2), c=1.0
         )
         report = evaluate(clf, x, y)
         assert report.mean_ap == pytest.approx(50.0, abs=5.0)
@@ -515,6 +507,9 @@ class TestPersistence:
         path = tmp_path / "clf.json"
         save_classifier(clf, path)
         back = load_classifier(path)
+        assert np.array_equal(back.classes, clf.classes)
+        assert back.w.tobytes() == clf.w.tobytes() and back.b.tobytes() == clf.b.tobytes()
+        assert back.w.shape == clf.w.shape and back.c == clf.c and back.traces == ()
         sa, la = predict(clf, x)
         sb, lb = predict(back, x)
         assert np.array_equal(sa, sb)

@@ -428,6 +428,8 @@ class TestDataVerbs:
             pytest.param(lambda m: m.update(b="0.2"), "not a classifier", id="b-string"),
             pytest.param(lambda m: m.update(b=True), "not a classifier", id="b-bool"),
             pytest.param(lambda m: m.update(c=-5), "c must be positive", id="c-negative"),
+            # one C trains every class, so the models must agree on it
+            pytest.param(lambda m: m.update(c=2 * m["c"]), "the same for every model", id="c-differs"),
         ],
     )
     def test_malformed_classifier_exit_2(self, chain, tmp_path, capsys, document, message):

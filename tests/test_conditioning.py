@@ -27,6 +27,12 @@ from skipstack.features import SkipSchedule, budget, mifs_stack
 from skipstack.latent import new_model, sample_difference_matrix
 from skipstack.streams import stream
 
+# a sim-condition config whose masked level-0 draw fails its flip band (exit 2)
+FIXED_DRAW_FAULT = {
+    "seed": 0, "gammas": [0.00125, 0.00125, 0.005, 0.005], "base_tau": 0.3,
+    "levels": 1, "exclude": [0], "trials": 100,
+}
+
 
 class TestConditionNumber:
     def test_isotropic_gram(self):
@@ -221,22 +227,6 @@ class TestBernstein:
         assert "trials must be >= 100, got 50" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_fixed_draw_fault_reported_before_the_stacked_budget(self, tmp_path, capsys):
-        # level 0 is drawn although masked out, and its flip band fails
-        # before the stacked bounds see a one-column budget, as when the
-        # fixed route drew on its own
-        cfg = tmp_path / "config.json"
-        cfg.write_text(json.dumps({
-            "seed": 0, "gammas": [0.00125, 0.00125, 0.005, 0.005], "base_tau": 0.3,
-            "levels": 1, "exclude": [0], "trials": 100,
-        }))
-        out = tmp_path / "out"
-        assert main(["sim-condition", "--config", str(cfg), "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: gamma too small for tau") and "tau=0.3," in err
-        assert "sample budget" not in err
-        assert list(out.iterdir()) == []
-
 
 class TestSpectrumCurve:
     def test_isotropic_matrix_is_flat(self):
@@ -352,16 +342,24 @@ class TestCoverageExperiment:
         # before the stacked bounds see a one-column budget, as when the
         # fixed route drew on its own
         cfg = tmp_path / "config.json"
-        cfg.write_text(json.dumps({
-            "seed": 0, "gammas": [0.00125, 0.00125, 0.005, 0.005], "base_tau": 0.3,
-            "levels": 1, "exclude": [0], "trials": 100,
-        }))
+        cfg.write_text(json.dumps(FIXED_DRAW_FAULT))
         out = tmp_path / "out"
         assert main(["sim-condition", "--config", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: gamma too small for tau") and "tau=0.3," in err
         assert "sample budget" not in err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
+
+    def test_failed_verb_keeps_the_directories_that_were_there(self, tmp_path, capsys):
+        # the failed call removes the two directories it made, not the third
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(FIXED_DRAW_FAULT))
+        kept = tmp_path / "kept"
+        kept.mkdir()
+        out = kept / "new" / "out"
+        assert main(["sim-condition", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "gamma too small for tau" in capsys.readouterr().err
+        assert kept.is_dir() and list(kept.iterdir()) == []
 
 
 class TestBinomialTail:

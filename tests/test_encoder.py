@@ -365,9 +365,10 @@ class TestGmmFit:
         data = np.random.default_rng(7).normal(size=(150, 2))
         gmm = gmm_fit(data, 3, rng=stream(7))
         # the posterior mass of a one-point set is that point's row sum
-        masses = [enc._e_step(gmm, x[None, :], x[None, :] ** 2)[1].sum() for x in data]
+        mixture = gmm.weights, gmm.means, gmm.variances
+        masses = [enc._e_step(*mixture, x[None, :], x[None, :] ** 2)[1].sum() for x in data]
         np.testing.assert_allclose(masses, 1.0, atol=1e-12)
-        assert enc._e_step(gmm, data, data**2)[1].sum() == pytest.approx(150.0, rel=1e-12)
+        assert enc._e_step(*mixture, data, data**2)[1].sum() == pytest.approx(150.0, rel=1e-12)
 
     def test_constant_column_gives_finite_parameters(self):
         # one window per sample puts every location at exactly 0.5
