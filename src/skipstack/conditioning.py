@@ -196,7 +196,7 @@ def bernstein_coverage_test(p_dim: int, n: int, b: float, delta: float, trials: 
     mean = norm_es * np.eye(p_dim)
 
     def deviation(trial: int, out: np.ndarray) -> None:
-        x = (stream(seed, trial).integers(0, 2, size=(n, p_dim)) * 2.0 - 1.0) * scale
+        x = ((stream(seed, trial).random((n, p_dim), dtype=np.float32) >= 0.5) * 2.0 - 1.0) * scale
         np.matmul(x.T, x, out=out)
         out -= mean
 

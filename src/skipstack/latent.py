@@ -92,21 +92,26 @@ def sample_difference_matrix(
     Columns are i.i.d.; entries live in {-2, 0, +2}. Row i carries second
     moment ``4 E[q_i]`` inside the dynamics band of component i.
 
-    Stream contract, row by row: ``rng.integers(0, 2, n)`` gives a, the
-    signs alpha = 2a - 1; then one ``rng.random(2n)`` gives (v, u). The flip
-    probabilities q = lo + (hi - lo) v are what ``rng.uniform(lo, hi, n)``
-    returns, and column j flips when u[j] < q[j].
+    Stream contract, row by row: ``rng.random(n, dtype=float32) >= 0.5``
+    gives a, the signs alpha = 2a - 1; then one ``rng.random(2n)`` gives
+    (v, u). The flip probabilities q = lo + (hi - lo) v are what
+    ``rng.uniform(lo, hi, n)`` returns, and column j flips when u[j] < q[j].
+    The sign draw is ``rng.integers(0, 2, n)`` bit for bit and leaves the
+    stream where it does: each takes one buffered 32-bit word per value;
+    ``integers`` returns the word's top bit, and the float32 uniform
+    ``(word >> 8) / 2**24`` is >= 0.5 exactly when that bit is set.
     """
     lo, width = _bands(tuple(model.gammas), tau, model.c)
     p = np.empty((model.k, n_cols))
     # rows whose uniforms are held at once: all k at harness sizes, one at 10^6 columns
     rows = max(1, min(model.k, (1 << 16) // n_cols))
-    draws = np.empty((rows, 2 * n_cols))
+    draws, signs = np.empty((rows, 2 * n_cols)), np.empty((rows, n_cols), dtype=np.float32)
     for first in range(0, model.k, rows):
-        block, uniforms = p[first : first + rows], draws[: model.k - first]
-        for row, out in zip(block, uniforms):
-            np.multiply(rng.integers(0, 2, size=n_cols), -4.0, out=row)
+        block, uniforms, bits = p[first : first + rows], draws[: model.k - first], signs[: model.k - first]
+        for sign, out in zip(bits, uniforms):
+            rng.random(dtype=np.float32, out=sign)
             rng.random(out=out)
+        np.multiply(bits >= 0.5, -4.0, out=block)
         q, u = uniforms[:, :n_cols], uniforms[:, n_cols:]
         q *= width[first : first + rows, None]
         q += lo[first : first + rows, None]

@@ -489,6 +489,18 @@ class TestBernsteinOneTrialPath:
         assert got == _bernstein_reference(4, 50, 4.0, delta, 300, 5)
         assert 0.0 < got
 
+    @pytest.mark.parametrize("seed", [0, 1, 3])
+    @pytest.mark.parametrize("delta", [2.0, 4.0, 6.0])
+    def test_float32_signs_are_the_integer_signs(self, delta, seed):
+        """The reference draws its signs with integers(0, 2). At delta < 1
+        the radius clears every deviation norm and the rate is 0 whatever
+        the signs, so these deltas, which put the radius inside the spread
+        of the norms (rates of about 0.05, 0.4 and 0.87), are the ones
+        where a changed sign draw moves the rate."""
+        got = bernstein_coverage_test(4, 16, 4.0, delta, trials=300, seed=seed)
+        assert got == _bernstein_reference(4, 16, 4.0, delta, 300, seed)
+        assert 0.0 < got < 1.0
+
 
 class TestHarnessMemory:
     """Trials are reduced in fixed-size blocks, so the harness holds a few
