@@ -18,6 +18,8 @@ import hashlib
 import json
 import math
 import sys
+from dataclasses import asdict
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -108,12 +110,10 @@ def _model_of(config: ExperimentConfig):
 def _summary_record(summary, delta: float) -> dict:
     hits = int(np.count_nonzero(summary.within))
     return {
-        "bound_lower": summary.bound_lower,
-        "bound_upper": summary.bound_upper,
+        **asdict(summary.bounds),
         "coverage": summary.coverage,
         # P(at most this many hits) were each trial covered with probability 1 - delta
         "coverage_tail_p": binomial_tail_probability(hits, summary.within.size, 1.0 - delta),
-        "delta_tau": summary.delta_tau,
         "mean_beta": summary.mean_beta,
         "var_beta": summary.var_beta,
     }
@@ -149,7 +149,7 @@ def cmd_sim_condition(config: ExperimentConfig, out: Path, args) -> list[Path]:
     stacked = coverage_experiment(model, schedule, config.delta, config.trials, config.seed)
     cases = {"fixed": stacked.fixed, "stacked": stacked}
     rows = (
-        (case, trial, beta, summary.bound_lower, summary.bound_upper, int(within))
+        (case, trial, beta, summary.bounds.bound_lower, summary.bounds.bound_upper, int(within))
         for case, summary in cases.items()
         for trial, (beta, within) in enumerate(zip(summary.betas, summary.within))
     )
@@ -162,18 +162,17 @@ def cmd_sim_condition(config: ExperimentConfig, out: Path, args) -> list[Path]:
 
 
 def cmd_sim_bounds(config: ExperimentConfig, out: Path, args) -> list[Path]:
-    model = _model_of(config)
     schedule = schedule_of(config)
     rows = []
     for level in schedule.included_levels:
         tau, t = schedule.tau(level), schedule.budget(level)
         report = theorem1_bounds(
-            model.gammas[0], model.gammas[-1], model.c, tau, model.k, t, config.delta
+            config.gammas[0], config.gammas[-1], config.c, tau, config.k, t, config.delta
         )
         rows.append(
             (f"level {level}", tau, t, report.bound_lower, report.bound_upper, report.delta_tau)
         )
-    stacked = theorem2_bounds(model.gammas, model.c, schedule, config.delta)
+    stacked = theorem2_bounds(config.gammas, config.c, schedule, config.delta)
     rows.append(
         (
             "stacked",
@@ -207,16 +206,14 @@ def cmd_bernstein_check(config: ExperimentConfig, out: Path, args) -> list[Path]
 
 
 def cmd_spectrum(config: ExperimentConfig, out: Path, args) -> list[Path]:
-    model = _model_of(config)
-    base_tau = schedule_of(config).base_tau
+    schedule = SkipSchedule(base_tau=schedule_of(config).base_tau, levels=config.levels)
+    stacked = mifs_stack(_model_of(config), schedule, config.seed)
+    matrix = stacked.f if stacked.f is not None else stacked.p
     rows = []
-    for levels in range(config.levels + 1):
-        schedule = SkipSchedule(base_tau=base_tau, levels=levels)
-        stacked = mifs_stack(model, schedule, config.seed)
-        sigmas = spectrum_curve(stacked.f if stacked.f is not None else stacked.p)
-        rows.extend(
-            (levels, index + 1, sigma) for index, sigma in enumerate(sigmas)
-        )
+    for levels, width in enumerate(accumulate(map(schedule.budget, range(config.levels + 1)))):
+        # level l draws from (seed, l) alone, so the first columns are the depth-l stack
+        sigmas = spectrum_curve(matrix[:, :width])
+        rows.extend((levels, index + 1, sigma) for index, sigma in enumerate(sigmas))
     return [_write_csv(out / "spectrum.csv", PLOT_HEADERS["spectrum"], rows)]
 
 

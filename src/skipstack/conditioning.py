@@ -236,37 +236,33 @@ def spectrum_curve(matrix) -> np.ndarray:
 
 @dataclass
 class CoverageSummary:
-    """Per-trial betas against a fixed sandwich, with summary statistics.
+    """Per-trial betas and the sandwich they are checked against.
 
-    A stacked summary carries the fixed-skip summary of the same draws in
-    ``fixed``; a fixed-skip one has None there.
+    ``within``, ``coverage``, ``mean_beta`` and ``var_beta`` are read off
+    the two. A stacked summary carries the fixed-skip summary of the same
+    draws in ``fixed``; a fixed-skip one has None there.
     """
 
     betas: np.ndarray
-    within: np.ndarray
-    bound_lower: float
-    bound_upper: float
-    delta_tau: float
-    coverage: float
-    mean_beta: float
-    var_beta: float
+    bounds: BoundReport
     fixed: CoverageSummary | None = None
 
+    @property
+    def within(self) -> np.ndarray:
+        # an infinite beta (singular Gram) is covered only by a vacuous upper bound
+        return (self.bounds.bound_lower <= self.betas) & (self.betas <= self.bounds.bound_upper)
 
-def _summary(betas: np.ndarray, bounds: BoundReport, fixed: CoverageSummary | None = None) -> CoverageSummary:
-    # an infinite beta (singular Gram) is covered only by a vacuous upper bound
-    within = (bounds.bound_lower <= betas) & (betas <= bounds.bound_upper)
-    return CoverageSummary(
-        betas=betas,
-        within=within,
-        bound_lower=bounds.bound_lower,
-        bound_upper=bounds.bound_upper,
-        delta_tau=bounds.delta_tau,
-        coverage=float(np.mean(within)),
-        mean_beta=float(np.mean(betas)),
-        var_beta=float(np.var(betas)) if np.isfinite(betas).all() else math.inf,
-        fixed=fixed,
-    )
+    @property
+    def coverage(self) -> float:
+        return float(np.mean(self.within))
+
+    @property
+    def mean_beta(self) -> float:
+        return float(np.mean(self.betas))
+
+    @property
+    def var_beta(self) -> float:
+        return float(np.var(self.betas)) if np.isfinite(self.betas).all() else math.inf
 
 
 def coverage_experiment(
@@ -312,9 +308,11 @@ def coverage_experiment(
 
     betas = _blocked(trials, (len(spans), model.k, model.k), grams, lambda grams: _betas(grams)[0])
     if len(betas) == 1:
-        return _summary(betas[0], fixed)
+        return CoverageSummary(betas[0], fixed)
     # the stacked bounds come after the draws, as when each route drew its own
-    return _summary(betas[1], theorem2_bounds(model.gammas, model.c, skip, delta), _summary(betas[0], fixed))
+    return CoverageSummary(
+        betas[1], theorem2_bounds(model.gammas, model.c, skip, delta), CoverageSummary(betas[0], fixed)
+    )
 
 
 def binomial_tail_probability(successes: int, trials: int, rate: float) -> float:

@@ -91,7 +91,6 @@ class ExperimentConfig:
             (self.gammas == tuple(sorted(self.gammas)), "gammas must be sorted non-decreasing"),
             (0.0 <= self.c < 1.0, f"c must lie in [0, 1), got {self.c}"),
             (self.sigma >= 0, f"sigma must be >= 0, got {self.sigma}"),
-            (self.base_tau > 0, f"base_tau must be > 0, got {self.base_tau}"),
             (0 <= self.levels <= 5, f"levels must lie in [0, 5], got {self.levels}"),
             (
                 all(0 <= level <= self.levels for level in self.exclude),
@@ -124,8 +123,8 @@ class ExperimentConfig:
         for ok, message in checks:
             if not ok:
                 raise ValueError(message)
-        # the schedule checks its skips (the deepest within 1, one level kept);
-        # level 0 has the largest budget, so every level's budget is finite
+        # the schedule checks its skips (positive, the deepest within 1, one
+        # level kept); level 0 has the largest budget, so every budget is finite
         schedule_of(self).budget(0)
 
 

@@ -49,7 +49,7 @@ class SkipSchedule:
 
     def __post_init__(self) -> None:
         if self.base_tau <= 0:
-            raise ValueError(f"base_tau must be positive, got {self.base_tau}")
+            raise ValueError(f"base_tau must be > 0, got {self.base_tau}")
         if self.levels < 0:
             raise ValueError(f"levels must be >= 0, got {self.levels}")
         # a float, so a huge integer base_tau gives inf, not an unprintable int

@@ -31,7 +31,7 @@ Every key the package derives, with ``seed`` the config seed:
 
 Latent and dataset share (seed, 0): a model and a dataset of one seed
 start from the same stream. More keys meet: level 0 of ``spectrum``'s
-stacks is (seed, 0), the latent model's stream, and by the trailing-zero
+stack is (seed, 0), the latent model's stream, and by the trailing-zero
 rule below a fixed-skip trial of its own, (seed, t), draws the same
 matrix as level 0 of stacked trial t. ``sim-condition`` does not rely on
 that: its two routes are paired by construction, since the stacked route
@@ -44,7 +44,8 @@ zeros, so keys that differ only by trailing zeros give the same stream:
 same numbers; the grid's salt-0 codec stream is the ``encode`` verb's.
 Other distinct keys give independent streams. The derivation stays as it
 is, since changing it would move every output, so a new key must not
-differ from an existing one only by trailing zeros.
+differ from an existing one only by trailing zeros. ``SeedSequence``
+itself rejects a negative key, with a ValueError.
 """
 from __future__ import annotations
 
@@ -52,12 +53,6 @@ import numpy as np
 
 def stream(seed: int | tuple[int, ...], *key: int) -> np.random.Generator:
     """Generator for (seed, *key); same arguments always give the same stream."""
-    if isinstance(seed, (int, np.integer)):
-        parts = [int(seed)]
-    else:
-        parts = [int(s) for s in seed]
-    parts.extend(int(k) for k in key)
-    if any(p < 0 for p in parts):
-        raise ValueError("stream keys must be non-negative integers")
-    return np.random.default_rng(np.random.SeedSequence(parts))
+    # SeedSequence flattens a tuple seed into the key's words
+    return np.random.default_rng(np.random.SeedSequence((seed, *key)))
 

@@ -255,6 +255,40 @@ class TestSimulationVerbs:
         got = [float(row["sigma_normalized"]) for row in rows if row["level"] == "0"]
         assert got == pytest.approx(expected)
 
+    def test_spectrum_reads_every_depth_off_one_stack(self, tmp_path, monkeypatch):
+        """One stack at the deepest level; depth l's curve, read off its
+        first columns, is that of the depth-l stack bit for bit."""
+        drawn = []
+
+        def counting(model, schedule, seed, **kwargs):
+            drawn.append(schedule)
+            return mifs_stack(model, schedule, seed, **kwargs)
+
+        monkeypatch.setattr("skipstack.cli.mifs_stack", counting)
+        out = tmp_path / "out"
+        assert run(write_config(tmp_path, levels=3, sigma=0.05), out, "spectrum") == 0
+        assert [schedule.levels for schedule in drawn] == [3]
+        model = new_model(4, 8, BASE_CONFIG["gammas"], 0.1, 0.05, 0)
+        rows = read_rows(out / "spectrum.csv")
+        for depth in range(4):
+            stack = mifs_stack(model, SkipSchedule(base_tau=0.01, levels=depth), 0)
+            got = [float(row["sigma_normalized"]) for row in rows if row["level"] == str(depth)]
+            assert got == spectrum_curve(stack.f).tolist()
+
+    def test_sim_bounds_builds_no_model(self, tmp_path, monkeypatch, capsys):
+        """The bounds read gammas, c and k off the config, so a latent model
+        that cannot be allocated does not stop them."""
+        cfg = write_config(tmp_path, levels=2)
+        assert run(cfg, tmp_path / "plain", "sim-bounds") == 0
+
+        def no_room(*args):
+            raise MemoryError("no room for the latent model")
+
+        monkeypatch.setattr("skipstack.cli.new_model", no_room)
+        out = tmp_path / "out"
+        assert run_for_stderr(capsys, cfg, out, "sim-bounds") == (0, [])
+        assert (out / "bounds.csv").read_bytes() == (tmp_path / "plain" / "bounds.csv").read_bytes()
+
 
 @pytest.fixture(scope="module")
 def chain(tmp_path_factory):
@@ -328,6 +362,30 @@ class TestDataVerbs:
         monkeypatch.setattr("skipstack.pipeline.fit_codec", explode)
         assert run(cfg, out, "encode") == 3
         assert "converge" in capsys.readouterr().err
+
+    def test_non_finite_series_exit_2_on_encode(self, chain, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        line, payload = (chain / "dataset.bin").read_bytes().split(b"\n", 1)
+        nan = np.array([np.nan], dtype="<f4").tobytes()
+        (out / "dataset.bin").write_bytes(line + b"\n" + nan + payload[len(nan) :])
+        assert run(write_config(tmp_path), out, "encode") == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "series must be finite" in err
+
+    def test_empty_test_split_exit_2_on_evaluate(self, chain, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "classifier.json").write_bytes((chain / "classifier.json").read_bytes())
+        line, payload = (chain / "encodings.bin").read_bytes().split(b"\n", 1)
+        header = json.loads(line)
+        header.update(train_idx=header["train_idx"] + header["test_idx"], test_idx=[])
+        (out / "encodings.bin").write_bytes(json.dumps(header).encode() + b"\n" + payload)
+        code, err = run_for_stderr(capsys, write_config(tmp_path), out, "evaluate")
+        assert code == 2
+        absent = [f"UserWarning: class {label} absent from the test set; excluded from means" for label in range(3)]
+        assert err == [*absent, "error: no evaluated class has test samples"]
+        assert not (out / "eval.json").exists()
 
     def test_truncated_encodings_exit_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
@@ -518,6 +576,16 @@ class TestConfigErrors:
         assert run(write_config(tmp_path, **overrides), out, verb) == 2
         err = capsys.readouterr().err
         assert err.count("error:") == 1 and message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("document", ["[1, 2]", '"x"', "3"])
+    def test_config_that_is_not_an_object_exit_2(self, tmp_path, capsys, document):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(document)
+        out = tmp_path / "out"
+        assert run(cfg, out, "model-gen") == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "must hold a JSON object" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("field, value", [("out_dir", 5), ("out_dir", None), ("seed", "x")])

@@ -285,6 +285,10 @@ class TestSpectrumCurve:
         with pytest.raises(ValueError, match="all-zero"):
             spectrum_curve(np.zeros((4, 20)))
 
+    def test_one_dimensional_input_rejected(self):
+        with pytest.raises(ValueError, match="need a 2-D matrix"):
+            spectrum_curve(np.ones(20))
+
     def test_too_few_columns_rejected(self):
         with pytest.raises(ValueError, match="10 feature columns"):
             spectrum_curve(np.eye(5))
@@ -297,7 +301,7 @@ class TestCoverageExperiment:
         )
         summary = coverage_experiment(model, 0.01, 0.1, 100, seed=7, t_samples=2000)
         assert summary.coverage >= 0.9
-        assert summary.bound_lower < summary.mean_beta < summary.bound_upper
+        assert summary.bounds.bound_lower < summary.mean_beta < summary.bounds.bound_upper
         # observed failures must be plausible under a 90% success rate
         assert binomial_tail_probability(int(summary.within.sum()), 100, 0.9) > 0.01
 
@@ -306,7 +310,7 @@ class TestCoverageExperiment:
         # only the infinite upper bound covers it
         model = new_model(k=4, d=4, gammas=[1.0, 1.0, 8.0, 8.0], c=0.1, sigma=0.0, seed=0)
         summary = coverage_experiment(model, 0.01, 0.1, 100, seed=8, t_samples=2000)
-        assert math.isinf(summary.bound_upper)
+        assert math.isinf(summary.bounds.bound_upper)
         assert np.all(np.isinf(summary.betas))
         assert summary.coverage == 1.0
 
@@ -421,7 +425,7 @@ class TestOneTrialPath:
     def check(self, summary, draw):
         want = np.array([condition_number(draw(trial)).beta_empirical for trial in range(summary.betas.size)])
         assert summary.betas.tobytes() == want.tobytes()
-        covered = [_covered(b, summary.bound_lower, summary.bound_upper) for b in want]
+        covered = [_covered(b, summary.bounds.bound_lower, summary.bounds.bound_upper) for b in want]
         assert summary.within.tolist() == covered
 
     def test_fixed_route(self):
@@ -465,7 +469,7 @@ class TestOneTrialPath:
         summary = coverage_experiment(model, schedule, 0.1, 260, seed=3)
         self.check(summary.fixed, lambda t: sample_difference_matrix(model, tau, budget(tau), stream(3, t)))
         fixed = theorem1_bounds(model.gammas[0], model.gammas[-1], model.c, tau, model.k, budget(tau), 0.1)
-        assert (summary.fixed.bound_lower, summary.fixed.bound_upper) == (fixed.bound_lower, fixed.bound_upper)
+        assert (summary.fixed.bounds.bound_lower, summary.fixed.bounds.bound_upper) == (fixed.bound_lower, fixed.bound_upper)
         assert summary.fixed.fixed is None
 
 

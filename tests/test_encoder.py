@@ -176,6 +176,10 @@ class TestPca:
         assert t.projection.shape == (9, 5)  # ceil(9/2)
         np.testing.assert_allclose(t.projection.T @ t.projection, np.eye(5), atol=1e-8)
 
+    def test_non_orthonormal_projection_rejected(self):
+        with pytest.raises(ValueError, match="orthonormal"):
+            enc.PcaTransform(mean=np.zeros(3), projection=np.full((3, 2), 0.5), explained_ratio=np.full(2, 0.5))
+
     def test_isotropic_explained_ratio(self):
         data = np.random.default_rng(2).normal(size=(20000, 6))
         t = pca_fit(np.asfortranarray(data))
@@ -378,6 +382,16 @@ class TestGmmFit:
         for values in (gmm.weights, gmm.means, gmm.variances, gmm.log_likelihood_trace):
             assert np.isfinite(values).all()
         assert np.all(gmm.means[:, 1] == 0.5)
+
+    def test_identical_rows_take_the_seeding_fallback(self):
+        """After the first mean every distance is 0, so the other K - 1 seeds
+        are drawn uniformly; the fit parks every component on the point."""
+        data = np.tile([1.5, -2.0, 0.25], (200, 1))
+        gmm = gmm_fit(data, 4, rng=stream(12))
+        assert np.array_equal(gmm.weights, np.full(4, 0.25))
+        assert np.array_equal(gmm.means, np.tile(data[0], (4, 1)))
+        assert np.array_equal(gmm.variances, np.full((4, 3), enc.VARIANCE_FLOOR_RATIO))
+        assert gmm.log_likelihood_trace.size == 3
 
     def test_requires_ten_points_per_component(self):
         with pytest.raises(ValueError, match="at least"):

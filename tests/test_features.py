@@ -54,6 +54,18 @@ class TestSkipSchedule:
         with pytest.raises(ValueError, match="at least one level"):
             SkipSchedule(base_tau=1 / 10, levels=1, include=(False, False))
 
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: SkipSchedule(0.1, -1), "levels must be >= 0"),
+            (lambda: SkipSchedule(0.1, 1, (True,)), "levels\\+1 entries"),
+            (lambda: SkipSchedule(0.1, 1).tau(2), "level must lie in \\[0, 1\\], got 2"),
+        ],
+    )
+    def test_bad_schedule_rejected(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
+
     def test_non_finite_budget_rejected(self):
         # 1 / 5e-324 overflows to inf, which has no integer floor
         with pytest.raises(ValueError, match="no finite sample budget"):
